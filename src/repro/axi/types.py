@@ -17,10 +17,6 @@ class BurstType(enum.IntEnum):
     INCR = 0b01
     WRAP = 0b10
 
-    @property
-    def is_reserved(self) -> bool:
-        return False  # 0b11 never constructs; kept for rule symmetry
-
 
 class Resp(enum.IntEnum):
     """AXI4 xRESP encoding."""

@@ -46,14 +46,6 @@ class XilinxStyleTimeout(Component):
         self.timeouts: List[int] = []
         self._cycle = 0
 
-    @property
-    def stall_timer(self) -> int:
-        """The classical running stall-timer value (for introspection)."""
-        if self._stall_since is None:
-            return 0
-        now = self._sim.cycle if self._sim is not None else self._cycle
-        return max(0, now - self._stall_since)
-
     def wires(self):
         yield from self.bus.wires()
         yield self.irq

@@ -17,10 +17,11 @@ Fault tolerance is the point:
 * **At-least-once, deterministically.**  A stolen shard may complete
   twice; runs are deterministic and results are deduplicated
   first-wins, so duplicates are invisible downstream.
-* **The cache directory is the source of truth.**  The engine persists
-  every completed shard atomically as it streams in, so a killed
-  coordinator resumes from the shard after the last one it cached, and
-  machines sharing one cache directory never repeat each other's work.
+* **The result store is the source of truth.**  The engine commits
+  every run to the store as its shard streams in, so a killed
+  coordinator re-run against the same store executes only the runs it
+  never committed, and machines sharing one store never repeat each
+  other's work.
 
 Nothing here touches planning or aggregation — the engine hands this
 executor the pending shards exactly as it would hand them to a pool,
@@ -336,8 +337,8 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
     def map(self, shards: Sequence[Shard]) -> Iterator[ShardResult]:
         if not shards:
-            # Nothing to serve (e.g. a resume whose cache is already
-            # complete).  Close any pre-bound socket so workers waiting
+            # Nothing to serve (e.g. a re-run against a store that
+            # already holds every run).  Close any pre-bound socket so workers waiting
             # on the announced port see EOF and exit cleanly now rather
             # than hanging until the coordinator process dies.
             if self._server is not None:
@@ -666,18 +667,21 @@ def worker_loop(
     missing simulations.  ``repro worker --store DIR`` is this knob.
 
     A coordinator that disappears during the handshake (finished its
-    campaign from cache, or died) is a clean zero-shard exit, not an
+    campaign from the store, or died) is a clean zero-shard exit, not an
     error: the worker joined a queue that simply had nothing for it.
     """
     worker_id = worker_id or default_worker_id()
-    if store is not None and not hasattr(store, "get"):
-        from .store import ResultStore
-
-        store = ResultStore.open(store)
     # Tag this process's log records so interleaved multi-worker output
     # on a shared terminal stays attributable.
     worker_log_prefix(worker_id)
     sock = connect_with_retry(host, port, retry_seconds=retry_seconds)
+    # A store opened here from a path is closed with the connection; a
+    # store object stays open for its owner.
+    owned_store = store is not None and not hasattr(store, "get")
+    if owned_store:
+        from .store import ResultStore
+
+        store = ResultStore.open(store)
     send_lock = threading.Lock()
 
     def send(payload) -> None:
@@ -726,6 +730,8 @@ def worker_loop(
             executed += 1
     finally:
         _close_quietly(sock)
+        if owned_store:
+            store.close()
     return executed
 
 

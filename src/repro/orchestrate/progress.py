@@ -5,10 +5,10 @@ the engine and renders a single self-overwriting status line::
 
     campaign: 132/288 runs (45.8%) | 12 cached | elapsed 14.2s | eta 16.9s
 
-ETA extrapolates from *executed* runs only — cached runs and runs the
+ETA extrapolates from *executed* runs only — store hits and runs the
 batch executor *derived* without simulating (see
 :meth:`ProgressReporter.runs_derived`) are excluded from the rate — so
-a warm cache or a wide lockstep pack does not skew the estimate for the
+a warm store or a wide lockstep pack does not skew the estimate for the
 remaining work.  Reporting is
 measurement-only; the engine works identically with ``reporter=None``.
 

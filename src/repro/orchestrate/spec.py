@@ -10,9 +10,9 @@ result list of any executor is byte-for-byte the serial one.
 
 Every run carries a stable, human-readable ``run_id`` and its canonical
 ``index``; :func:`plan_shards` groups runs into contiguous
-:class:`Shard` units of work.  The spec's :meth:`spec_hash` keys the
-on-disk result cache: any parameter change produces a different hash and
-therefore a fresh cache namespace.
+:class:`Shard` units of work.  The spec's :meth:`spec_hash` identifies
+the campaign in its JSON export; the result store keys each run by
+:meth:`RunSpec.param_key` instead, so runs are shared across campaigns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class RunSpec:
     """One simulation unit: a single fault injection.
 
     Everything here is plain JSON-able data so a run can cross a process
-    boundary and key a cache entry.  ``config`` is the canonical TMU
+    boundary and key a store row.  ``config`` is the canonical TMU
     config dict for IP runs; system runs only need ``{"variant": ...}``
     (the system runner derives the paper's budgets itself).
     """
@@ -235,7 +235,7 @@ class CampaignSpec:
 
         A deep copy: the canonical dict gets embedded in campaign JSON
         exports and handed to callers, and a mutation over there must
-        never reach back into this spec (whose hash keys the cache).
+        never reach back into this spec (whose hash identifies it).
         """
         return copy.deepcopy(
             {
@@ -255,7 +255,7 @@ class CampaignSpec:
         )
 
     def spec_hash(self) -> str:
-        """Content hash keying the result cache (first 16 hex chars)."""
+        """Content hash identifying the campaign (first 16 hex chars)."""
         canonical = json.dumps(self.canonical_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -263,10 +263,8 @@ class CampaignSpec:
 def plan_shards(runs: Sequence[RunSpec], shard_size: int = 1) -> List[Shard]:
     """Partition *runs* into contiguous shards of at most *shard_size*.
 
-    The default of one run per shard maximizes both pool load balancing
-    and cache granularity (a completed run is never re-simulated, even
-    if a later shard of the same campaign crashed).  Larger shards
-    amortize per-task pickling for very short runs.
+    The default of one run per shard maximizes pool load balancing.
+    Larger shards amortize per-task pickling for very short runs.
     """
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")

@@ -9,8 +9,8 @@ Three layers:
   one, both of which must be invisible in the aggregated results.
 * The acceptance bar — a Fig. 11-shaped campaign through coordinator +
   2 workers, one of them killed mid-shard, serializes byte-identically
-  to the serial run, and a subsequent ``--resume``-style pass against
-  the same cache directory reproduces it without simulating anything.
+  to the serial run, and a re-run against the same result store
+  reproduces it without simulating anything.
 """
 
 import os
@@ -310,7 +310,7 @@ def test_heartbeat_keeps_slow_healthy_shard_leased(monkeypatch):
 
 def test_worker_exits_cleanly_when_coordinator_offers_no_work():
     """A coordinator that hangs up before the welcome (campaign already
-    satisfied from cache, or dead) is a clean zero-shard exit."""
+    satisfied from the store, or dead) is a clean zero-shard exit."""
     server = socket.create_server(("127.0.0.1", 0))
     _host, port = server.getsockname()
     outcome = {}
@@ -330,15 +330,15 @@ def test_worker_exits_cleanly_when_coordinator_offers_no_work():
 
 
 def test_fully_cached_campaign_closes_bound_server(tmp_path):
-    """A resume whose cache is complete must release the announced port
+    """A re-run against a complete store must release the announced port
     immediately, so waiting workers see EOF instead of hanging."""
     from repro.orchestrate.distributed import connect_with_retry
 
     spec = ip_spec()
-    run_campaign_spec(spec, cache_dir=tmp_path)  # warm the cache fully
+    run_campaign_spec(spec, store=tmp_path)  # fill the store completely
     executor = DistributedExecutor(result_timeout=120)
     host, port = executor.bind()
-    cached = run_campaign_spec(spec, cache_dir=tmp_path, executor=executor)
+    cached = run_campaign_spec(spec, store=tmp_path, executor=executor)
     assert executor._server is None
     with pytest.raises(OSError):
         connect_with_retry(host, port, retry_seconds=0.3)
@@ -593,7 +593,7 @@ def test_fig11_distributed_byte_identical_with_worker_kill_and_resume(
 
     def campaign():
         results["out"] = run_campaign_spec(
-            spec, cache_dir=tmp_path, executor=executor
+            spec, store=tmp_path, executor=executor
         )
 
     runner = threading.Thread(target=campaign)
@@ -607,29 +607,30 @@ def test_fig11_distributed_byte_identical_with_worker_kill_and_resume(
     assert not runner.is_alive()
     assert campaign_json(spec, results["out"]) == serial_json
 
-    # Resume against the same cache directory: every shard is already
-    # there, so nothing may simulate, and the JSON stays byte-identical.
+    # Re-run against the same store: every run is already there, so
+    # nothing may simulate, and the JSON stays byte-identical.
     monkeypatch.setattr(
         executor_module,
         "execute_shard",
         lambda shard: pytest.fail("resume must not re-simulate"),
     )
-    resumed = run_campaign_spec(spec, cache_dir=tmp_path)
+    resumed = run_campaign_spec(spec, store=tmp_path)
     assert campaign_json(spec, resumed) == serial_json
 
 
 def test_partial_cache_resume_only_runs_missing_shards(tmp_path):
-    """Crash-shaped cache state: some shards present, the rest missing."""
+    """Crash-shaped store state: some runs present, the rest missing."""
+    from repro.orchestrate import ResultStore
+
     spec = ip_spec(seeds=(0, 1))
     serial_json = campaign_json(spec, run_campaign_spec(spec))
-    shards = plan_shards(spec.runs())
+    runs = spec.runs()
 
-    # Simulate a campaign killed after three shards: only they are cached.
-    from repro.orchestrate.cache import ResultCache
-
-    cache = ResultCache(tmp_path, spec)
-    for shard in shards[:3]:
-        cache.store_shard(shard, execute_shard(shard)[1])
+    # Simulate a campaign killed after three runs: only they are stored.
+    with ResultStore.open(tmp_path) as store:
+        for shard in plan_shards(runs[:3]):
+            for run, result in zip(shard.runs, execute_shard(shard)[1]):
+                store.put(run, result)
 
     executed = []
     original = execute_shard
@@ -637,12 +638,12 @@ def test_partial_cache_resume_only_runs_missing_shards(tmp_path):
     class Counting(SerialExecutor):
         def map(self, pending):
             for shard in pending:
-                executed.append(shard.index)
+                executed.extend(shard.run_ids)
                 yield original(shard)
 
-    resumed = run_campaign_spec(spec, cache_dir=tmp_path, executor=Counting())
+    resumed = run_campaign_spec(spec, store=tmp_path, executor=Counting())
     assert campaign_json(spec, resumed) == serial_json
-    assert sorted(executed) == [shard.index for shard in shards[3:]]
+    assert executed == [run.run_id for run in runs[3:]]
 
 
 # ----------------------------------------------------------------------

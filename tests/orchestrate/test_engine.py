@@ -1,9 +1,9 @@
-"""Engine tests: sharded determinism, caching, progress, executors.
+"""Engine tests: sharded determinism, progress, executors.
 
-The headline guarantees: a campaign sharded across 4 worker processes
+The headline guarantee: a campaign sharded across 4 worker processes
 returns the *identical* result list the serial path produces (for both
-the Fig. 9 IP sweep and the Fig. 11 system sweep), and a warm cache
-returns identical results without simulating anything.
+the Fig. 9 IP sweep and the Fig. 11 system sweep).  Store reuse is
+covered by ``test_store_engine.py``.
 """
 
 import io
@@ -24,7 +24,6 @@ from repro.orchestrate import (
     plan_shards,
     run_campaign_spec,
 )
-from repro.orchestrate import executor as executor_module
 from repro.soc.experiment import run_fig11
 from repro.tmu.config import full_config, tiny_config
 
@@ -81,38 +80,6 @@ def test_shard_size_does_not_change_results():
     fine = run_campaign_spec(spec, workers=1, shard_size=1)
     coarse = run_campaign_spec(spec, workers=2, shard_size=4)
     assert fine == coarse
-
-
-# ----------------------------------------------------------------------
-# Caching
-# ----------------------------------------------------------------------
-def test_cache_hit_skips_simulation_and_matches(tmp_path, monkeypatch):
-    kwargs = dict(beats=4, seeds=(0,), cache_dir=tmp_path)
-    first = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
-    # Any attempt to simulate on the second pass is a test failure.
-    monkeypatch.setattr(
-        executor_module,
-        "execute_shard",
-        lambda shard: pytest.fail("cache hit must not re-simulate"),
-    )
-    second = run_campaign(fig9_configs(), FIG9_SUBSET, **kwargs)
-    assert second == first
-
-
-def test_cache_namespace_follows_spec_hash(tmp_path):
-    run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=4, cache_dir=tmp_path)
-    run_campaign(fig9_configs(), FIG9_SUBSET[:1], beats=8, cache_dir=tmp_path)
-    # Two different sweeps, two cache namespaces.
-    assert len(list(tmp_path.iterdir())) == 2
-
-
-def test_corrupt_cache_entry_is_re_executed(tmp_path):
-    kwargs = dict(beats=4, cache_dir=tmp_path)
-    first = run_campaign(fig9_configs(), FIG9_SUBSET[:1], **kwargs)
-    for shard_file in tmp_path.glob("*/shard-*.json"):
-        shard_file.write_text("{not json")
-    second = run_campaign(fig9_configs(), FIG9_SUBSET[:1], **kwargs)
-    assert second == first
 
 
 # ----------------------------------------------------------------------
