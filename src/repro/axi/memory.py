@@ -41,6 +41,16 @@ class SparseMemory:
         if callback not in self._watchers:
             self._watchers = (*self._watchers, callback)
 
+    def snapshot(self) -> Dict[int, bytes]:
+        """The current contents, frozen, for a later :meth:`restore`."""
+        return {index: bytes(page) for index, page in self._pages.items()}
+
+    def restore(self, snapshot: Dict[int, bytes]) -> None:
+        """Return to the contents a :meth:`snapshot` captured."""
+        self._pages = {index: bytearray(page) for index, page in snapshot.items()}
+        for watcher in self._watchers:
+            watcher()
+
     @property
     def page_size(self) -> int:
         return self._page_size

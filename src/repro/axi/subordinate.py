@@ -177,6 +177,9 @@ class Subordinate(Component):
         super().__init__(name)
         self.bus = bus
         self.memory = memory if memory is not None else SparseMemory()
+        # Power-on reset restores these contents; the mid-run hardware
+        # reset (_take_reset) leaves memory as the traffic wrote it.
+        self._power_on_memory = self.memory.snapshot()
         # R data is read combinationally from memory; external stores
         # (testbench preloads, shared memories) must re-drive us.
         self.memory.watch(self.schedule_drive)
@@ -739,6 +742,7 @@ class Subordinate(Component):
 
     def reset(self) -> None:
         self._take_reset()
+        self.memory.restore(self._power_on_memory)
         self._in_reset = False
         self.resets_taken = 0
         self.writes_done = 0

@@ -23,6 +23,7 @@ from ..axi.subordinate import Subordinate
 from ..axi.traffic import read_spec, write_spec
 from ..axi.types import AxiDir, bytes_per_beat
 from ..sim.kernel import Simulator
+from ..sim.slot import HARNESSES, harness_key
 from ..soc.reset_unit import ResetUnit
 from ..tmu.config import TmuConfig
 from ..tmu.unit import TransactionMonitoringUnit
@@ -81,13 +82,21 @@ class IpHarness:
                 reset_duration=reset_duration,
             )
             self.sim.add(self.reset_unit)
-        # Interface-event counters used by stage triggers.
+        self._clear_observations()
+
+    def _clear_observations(self) -> None:
+        """Zero the interface-event counters the stage triggers read."""
         self.w_beats_fired = 0
         self.r_beats_fired = 0
         self.aw_fired_cycle: Optional[int] = None
         self.ar_fired_cycle: Optional[int] = None
         self.wlast_cycle: Optional[int] = None
         self._observed_cycle = -1
+
+    def reset(self) -> None:
+        """Power-on reset: back to the state a fresh build has."""
+        self.sim.reset()
+        self._clear_observations()
 
     def _observe(self) -> None:
         """Record this cycle's device-side fire events (idempotent).
@@ -272,6 +281,35 @@ def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
     return table[stage]
 
 
+def _config_key(config: TmuConfig):
+    """The config's canonical dict, or the config itself if it has none."""
+    # Imported here: the orchestrate package imports this module.
+    from ..orchestrate.serialize import SpecSerializationError, config_to_dict
+
+    try:
+        return config_to_dict(config)
+    except SpecSerializationError:
+        return config
+
+
+def lease_ip_harness(
+    config: TmuConfig,
+    harness_kwargs: Optional[dict] = None,
+    reorder_depth: int = 0,
+    probe=None,
+):
+    """Lease the slot's :class:`IpHarness` for one run (see
+    :meth:`repro.sim.slot.HarnessSlot.lease`)."""
+    kwargs = dict(harness_kwargs or {})
+    if reorder_depth and "reorder_depth" not in kwargs:
+        kwargs["reorder_depth"] = reorder_depth
+    return HARNESSES.lease(
+        harness_key("ip", _config_key(config), kwargs),
+        lambda: IpHarness(config, **kwargs),
+        probe=probe,
+    )
+
+
 def run_injection(
     config: TmuConfig,
     stage: InjectionStage,
@@ -302,89 +340,93 @@ def run_injection(
     has drained, the subordinate has been reset, and the TMU is
     monitoring again.
 
+    The run takes its :class:`IpHarness` from the harness slot
+    (:mod:`repro.sim.slot`), keyed by the canonical config dict and the
+    effective harness kwargs: a key hit power-on resets the previous
+    run's harness — which then equals a fresh build, attribute by
+    attribute (``tests/faults/test_harness_reuse.py``) — and a miss
+    builds one.  A run that raises drops the slot.
+
     *trace* registers a probe (typically a
     :class:`~repro.sim.batch.LeapTrace`) on the harness simulator
-    before anything runs — the batch executor's pack leaders collect
-    their inert-prefix evidence through it.
+    before anything runs, for this run only — the batch executor's pack
+    leaders collect their inert-prefix evidence through it.
     """
-    kwargs = dict(harness_kwargs or {})
-    if reorder_depth and "reorder_depth" not in kwargs:
-        kwargs["reorder_depth"] = reorder_depth
-    harness = IpHarness(config, **kwargs)
-    if trace is not None:
-        harness.sim.add_probe(trace)
-    spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
-    # Each transaction gets its own 4 KiB-aligned page span so INCR
-    # bursts stay AXI-legal at every (beats, size) grid point.
-    stride = 0x1000 * ((beats * bytes_per_beat(size) + 0xFFF) // 0x1000)
-    for i in range(max(1, outstanding)):
-        harness.manager.submit(
-            spec_fn(
-                i % max(1, config.max_uniq_ids),
-                0x1000 + i * stride,
-                beats=beats,
-                size=size,
-                issue_delay=issue_delay if i == 0 else 0,
+    with lease_ip_harness(
+        config, harness_kwargs, reorder_depth, probe=trace
+    ) as harness:
+        spec_fn = write_spec if stage.direction == AxiDir.WRITE else read_spec
+        # Each transaction gets its own 4 KiB-aligned page span so INCR
+        # bursts stay AXI-legal at every (beats, size) grid point.
+        stride = 0x1000 * ((beats * bytes_per_beat(size) + 0xFFF) // 0x1000)
+        for i in range(max(1, outstanding)):
+            harness.manager.submit(
+                spec_fn(
+                    i % max(1, config.max_uniq_ids),
+                    0x1000 + i * stride,
+                    beats=beats,
+                    size=size,
+                    issue_delay=issue_delay if i == 0 else 0,
+                )
             )
-        )
 
-    deferred = _injection_deferred(stage, beats)
-    if deferred is None:
-        _apply_fault(harness, stage)
-    manifest = _manifest_predicate(stage)
+        deferred = _injection_deferred(stage, beats)
+        if deferred is None:
+            _apply_fault(harness, stage)
+        manifest = _manifest_predicate(stage)
 
-    txn_start: Optional[int] = None
-    inject_cycle: Optional[int] = None
+        txn_start: Optional[int] = None
+        inject_cycle: Optional[int] = None
 
-    def detect_tick(h: IpHarness) -> bool:
-        nonlocal txn_start, inject_cycle, deferred
-        if txn_start is None and (
-            h.host.aw.valid.value or h.host.ar.valid.value
-        ):
-            txn_start = h.cycle
-        if deferred is not None and inject_cycle is None and deferred(h):
-            _apply_fault(h, stage)
-            deferred = None
-            inject_cycle = h.cycle
-        if inject_cycle is None and manifest(h):
-            inject_cycle = h.cycle
-        return bool(h.tmu.irq.value)
+        def detect_tick(h: IpHarness) -> bool:
+            nonlocal txn_start, inject_cycle, deferred
+            if txn_start is None and (
+                h.host.aw.valid.value or h.host.ar.valid.value
+            ):
+                txn_start = h.cycle
+            if deferred is not None and inject_cycle is None and deferred(h):
+                _apply_fault(h, stage)
+                deferred = None
+                inject_cycle = h.cycle
+            if inject_cycle is None and manifest(h):
+                inject_cycle = h.cycle
+            return bool(h.tmu.irq.value)
 
-    detect_cycle = harness.run_until(detect_tick, timeout=detect_timeout)
+        detect_cycle = harness.run_until(detect_tick, timeout=detect_timeout)
 
-    fault = harness.tmu.last_fault
-    recovered = False
-    if detect_cycle is not None:
-        harness.manager.faults.clear()  # software recovery routine
-        harness.tmu.clear_irq()
-        recovered = (
-            harness.run_until(
-                lambda h: (
-                    h.manager.idle
-                    and h.tmu.state.value == "monitor"
-                    and not h.tmu.irq.value
-                ),
-                timeout=recovery_timeout,
+        fault = harness.tmu.last_fault
+        recovered = False
+        if detect_cycle is not None:
+            harness.manager.faults.clear()  # software recovery routine
+            harness.tmu.clear_irq()
+            recovered = (
+                harness.run_until(
+                    lambda h: (
+                        h.manager.idle
+                        and h.tmu.state.value == "monitor"
+                        and not h.tmu.irq.value
+                    ),
+                    timeout=recovery_timeout,
+                )
+                is not None
             )
-            is not None
-        )
 
-    return InjectionResult(
-        stage=stage,
-        variant=config.variant.value,
-        txn_start_cycle=txn_start if txn_start is not None else 0,
-        inject_cycle=inject_cycle,
-        detect_cycle=detect_cycle,
-        fault_kind=fault.kind.value if fault else None,
-        fault_phase=fault.phase_label if fault else None,
-        recovered=recovered,
-        resets_taken=harness.subordinate.resets_taken,
-        **{
-            f"sim_{key}": value
-            for key, value in harness.sim.stats().items()
-            if key in Simulator.STAT_KEYS
-        },
-    )
+        return InjectionResult(
+            stage=stage,
+            variant=config.variant.value,
+            txn_start_cycle=txn_start if txn_start is not None else 0,
+            inject_cycle=inject_cycle,
+            detect_cycle=detect_cycle,
+            fault_kind=fault.kind.value if fault else None,
+            fault_phase=fault.phase_label if fault else None,
+            recovered=recovered,
+            resets_taken=harness.subordinate.resets_taken,
+            **{
+                f"sim_{key}": value
+                for key, value in harness.sim.stats().items()
+                if key in Simulator.STAT_KEYS
+            },
+        )
 
 
 def run_campaign(
@@ -523,9 +565,6 @@ def measure_stall_detection_latency(
         offsets = range(min(config.prescale_step, 8))
     worst = 0
     for offset in offsets:
-        harness = IpHarness(config)
-        harness.subordinate.faults.deaf_aw = True
-        harness.manager.submit(write_spec(0, 0x1000, issue_delay=offset))
         start: Optional[int] = None
 
         def stall_tick(h: IpHarness) -> bool:
@@ -534,7 +573,10 @@ def measure_stall_detection_latency(
                 start = h.cycle
             return bool(h.tmu.irq.value)
 
-        detected = harness.run_until(stall_tick, timeout=timeout)
+        with lease_ip_harness(config) as harness:
+            harness.subordinate.faults.deaf_aw = True
+            harness.manager.submit(write_spec(0, 0x1000, issue_delay=offset))
+            detected = harness.run_until(stall_tick, timeout=timeout)
         if detected is None:
             raise RuntimeError(
                 f"stall not detected within {timeout} cycles at offset {offset}"

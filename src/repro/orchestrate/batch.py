@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..sim.batch import HAVE_NUMPY, LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
-from .executor import execute_run
+from .executor import execute_run, lease_harness
 from .spec import RunSpec, Shard
 
 if HAVE_NUMPY:  # pragma: no branch - plain import split
@@ -114,7 +114,6 @@ class BatchExecutor:
         self._reporter = None
         self._metrics = None
         self._metrics_flushed: Dict[str, int] = {}
-        self._period_cache: Dict[Tuple, Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # Engine integration
@@ -178,39 +177,17 @@ class BatchExecutor:
             groups.setdefault(self._batch_key(run), []).append(run)
         return list(groups.values())
 
-    def _period_for(self, run: RunSpec) -> Optional[int]:
-        """Lockstep period of the harness *run* would build.
+    @staticmethod
+    def _period_for(run: RunSpec) -> Optional[int]:
+        """Lockstep period of the harness *run* simulates on.
 
-        Probed from a real (never-run) harness so the period reflects
-        the actual registered components' ``phase_period``
-        declarations, not a parallel bookkeeping table.  Cached per
-        (kind, config, harness kwargs) — the stage does not change the
-        component inventory.
+        Read from the harness slot's own harness (which the group's
+        leader then runs on), so the period reflects the actual
+        registered components' ``phase_period`` declarations, not a
+        parallel bookkeeping table.
         """
-        key = (run.kind, json.dumps(run.config, sort_keys=True),
-               run.beats, run.harness_kwargs, run.reorder_depth)
-        if key not in self._period_cache:
-            kwargs = dict(run.harness_kwargs)
-            if run.kind == "ip":
-                from ..faults.campaign import IpHarness
-                from .serialize import config_from_dict
-
-                if run.reorder_depth and "reorder_depth" not in kwargs:
-                    kwargs["reorder_depth"] = run.reorder_depth
-                sim = IpHarness(config_from_dict(run.config), **kwargs).sim
-            else:
-                from ..soc.cheshire import CheshireSoC, system_tmu_config
-                from ..tmu.config import Variant
-
-                kwargs.setdefault("reorder_depth", run.reorder_depth)
-                sim = CheshireSoC(
-                    system_tmu_config(
-                        Variant(run.config["variant"]), frame_beats=run.beats
-                    ),
-                    **kwargs,
-                ).sim
-            self._period_cache[key] = lockstep_period(sim.components)
-        return self._period_cache[key]
+        with lease_harness(run) as harness:
+            return lockstep_period(harness.sim.components)
 
     # ------------------------------------------------------------------
     # Pack execution

@@ -653,8 +653,9 @@ def worker_loop(
 
     Every shard is executed with the exact same
     :func:`~repro.orchestrate.executor.execute_shard` the in-process
-    executors use — a fresh harness per run, nothing shared — so where a
-    shard runs can never change what it computes.  While a shard
+    executors use — each run on a harness that equals a fresh build,
+    nothing shared across processes — so where a shard runs can never
+    change what it computes.  While a shard
     executes, a heartbeat thread pings at the period the coordinator
     requested in its welcome, renewing the lease so a slow-but-healthy
     shard is never stolen.  Returns the number of shards executed.

@@ -53,8 +53,8 @@ def run_campaign_spec(
     ----------
     workers:
         Process count; ``None`` consults ``REPRO_WORKERS`` (default 1 =
-        serial, in-process).  Each worker builds its own harness per
-        run, so no simulator state is shared.
+        serial, in-process).  Each worker takes its harnesses from its
+        own harness slot, so no simulator state is shared.
     shard_size:
         Runs per unit of work; 1 (the default) gives the best load
         balancing.

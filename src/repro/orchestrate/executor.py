@@ -1,8 +1,8 @@
 """Shard executors: in-process serial and multiprocessing worker pool.
 
 Both executors expose the same contract — ``map(shards)`` yields
-``(shard_index, [result, ...])`` pairs, in *any* order — and both build
-every harness inside the process that simulates it, so no
+``(shard_index, [result, ...])`` pairs, in *any* order — and both take
+every harness from the harness slot of the process that simulates it, so no
 :class:`~repro.sim.kernel.Simulator` state ever crosses a process
 boundary.  Only plain :class:`~repro.orchestrate.spec.RunSpec` data
 travels to workers and only result dataclasses travel back.
@@ -45,12 +45,24 @@ def default_workers() -> int:
 def execute_run(run: RunSpec, trace=None):
     """Simulate one injection described by *run*, in this process.
 
-    A fresh harness/SoC is constructed per run — sharing nothing is what
-    makes campaigns embarrassingly parallel and results independent of
-    execution order.  *trace* (a simulator probe, e.g. a
+    The run takes its harness/SoC from this thread's harness slot
+    (:mod:`repro.sim.slot`), keyed by everything the constructor depends
+    on: the kind, the canonical config dict, ``harness_kwargs``,
+    ``reorder_depth`` and, for system runs, the frame ``beats``.  The
+    first run of a key builds the harness; later runs power-on reset it.
+    The reset invariant — a reset harness equals a fresh build in every
+    attribute, object identities aside — is what keeps results
+    independent of execution order and of which process (serial loop,
+    pool or distributed worker, batch pack leader) ran which run.
+    ``tests/faults/test_harness_reuse.py`` proves it structurally after
+    every stage, and differentially: random run orders on one reused
+    slot give the same ``result_to_dict`` output, scheduler statistics
+    included, as a fresh build per run.  A run that raises drops the
+    slot.  *trace* (a simulator probe, e.g. a
     :class:`~repro.sim.batch.LeapTrace`) is registered on the run's
-    simulator before it starts — the lockstep batch executor uses it to
-    collect inert-prefix evidence from pack leaders.
+    simulator before it starts and removed when it ends — the lockstep
+    batch executor uses it to collect inert-prefix evidence from pack
+    leaders.
     """
     # Imported lazily: this module is imported by repro.faults.campaign
     # (via the orchestrate package) for its parallel path, so top-level
@@ -90,6 +102,28 @@ def execute_run(run: RunSpec, trace=None):
         size=run.size,
         outstanding=run.outstanding,
         reorder_depth=run.reorder_depth,
+        **dict(run.harness_kwargs),
+    )
+
+
+def lease_harness(run: RunSpec):
+    """Lease the slot harness/SoC :func:`execute_run` simulates *run* on."""
+    if run.kind == "ip":
+        from ..faults.campaign import lease_ip_harness
+        from .serialize import config_from_dict
+
+        return lease_ip_harness(
+            config_from_dict(run.config),
+            dict(run.harness_kwargs),
+            run.reorder_depth,
+        )
+    from ..soc.experiment import lease_soc
+    from ..tmu.config import Variant
+
+    return lease_soc(
+        Variant(run.config["variant"]),
+        run.beats,
+        run.reorder_depth,
         **dict(run.harness_kwargs),
     )
 

@@ -42,6 +42,12 @@ class SpecSerializationError(TypeError):
 # ----------------------------------------------------------------------
 # TmuConfig
 # ----------------------------------------------------------------------
+def _flat_fields(obj) -> Dict[str, Any]:
+    """``dataclasses.asdict`` for a dataclass of scalars, without its
+    recursive deep copy (this runs once per campaign run)."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def budgets_to_dict(budgets: AdaptiveBudgetPolicy) -> Dict[str, Any]:
     """Canonical dict of a budget policy (adaptive or fixed)."""
     if type(budgets) is FixedBudgetPolicy:
@@ -53,8 +59,8 @@ def budgets_to_dict(budgets: AdaptiveBudgetPolicy) -> Dict[str, Any]:
     if type(budgets) is AdaptiveBudgetPolicy:
         return {
             "type": "adaptive",
-            "phases": dataclasses.asdict(budgets.phases),
-            "span": dataclasses.asdict(budgets.span),
+            "phases": _flat_fields(budgets.phases),
+            "span": _flat_fields(budgets.span),
         }
     raise SpecSerializationError(
         f"cannot serialize budget policy of type {type(budgets).__name__}; "

@@ -315,6 +315,10 @@ class Simulator:
         """
         self._probes.append(probe)
 
+    def remove_probe(self, probe: Callable[["Simulator"], None]) -> None:
+        """Unregister a probe added with :meth:`add_probe`."""
+        self._probes.remove(probe)
+
     @property
     def wires(self) -> List[Wire]:
         return list(self._wires.values())
@@ -437,7 +441,8 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Synchronously reset every wire and component; rewind the clock."""
+        """Power-on reset: every wire and component, the clock and the
+        scheduler statistics go back to their construction-time values."""
         for wire in self._wires.values():
             wire.reset()
         for component in self.components:
@@ -445,9 +450,17 @@ class Simulator:
             component._wake_cycle = None
         self._wake_heap.clear()
         self.cycle = 0
+        for key in self.STAT_KEYS:
+            setattr(self, key, 0)
+        self._update_queue = []
+        self._update_queue_key = None
+        self._verify_wires = None
+        self._changed_wires.clear()
         # Registered state moved arbitrarily: every drive is stale and
-        # every quiescence judgment is void.
-        self._pending.update(self._drivers)
+        # every quiescence judgment is void — re-seed both worklists as
+        # registration seeded them.
+        if self.strategy != "exhaustive":
+            self._pending.update(c for c in self._drivers if c.demand_driven)
         self._update_pending.update(self._demand_updaters)
 
     def _snapshot(self) -> Tuple[Any, ...]:

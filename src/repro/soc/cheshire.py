@@ -246,9 +246,18 @@ class CheshireSoC:
         ):
             self.sim.add(component)
 
-        self._traffic = RandomTraffic(
-            ids=(0, 1), max_beats=8, addr_space=DRAM_SIZE, seed=seed
+        self._seed = seed
+        self._traffic = self._background_traffic()
+
+    def _background_traffic(self) -> RandomTraffic:
+        return RandomTraffic(
+            ids=(0, 1), max_beats=8, addr_space=DRAM_SIZE, seed=self._seed
         )
+
+    def reset(self) -> None:
+        """Power-on reset: back to the state a fresh build has."""
+        self.sim.reset()
+        self._traffic = self._background_traffic()
 
     # ------------------------------------------------------------------
     # Workloads

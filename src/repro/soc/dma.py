@@ -78,6 +78,11 @@ class DmaEngine(Manager):
                 self._descriptor_txns[0] -= finished
                 finished = 0
 
+    def reset(self) -> None:
+        super().reset()
+        self.descriptors_done = 0
+        self._descriptor_txns.clear()
+
     def snapshot_state(self):
         return (
             super().snapshot_state(),

@@ -14,6 +14,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..faults.types import InjectionStage
+from ..sim.slot import HARNESSES, harness_key
 from ..tmu.config import Variant
 from .cheshire import CheshireSoC, system_tmu_config
 
@@ -124,6 +125,25 @@ class SystemInjectionResult:
         return self.latency_from_injection
 
 
+def lease_soc(
+    variant: Variant, beats: int, reorder_depth: int = 0, probe=None, **sim_kwargs
+):
+    """Lease the slot's :class:`CheshireSoC` for one run (see
+    :meth:`repro.sim.slot.HarnessSlot.lease`); *sim_kwargs* are the
+    SoC's ``sim_*`` keyword arguments."""
+    return HARNESSES.lease(
+        harness_key(
+            "system", {"variant": variant.value}, sim_kwargs, reorder_depth, beats
+        ),
+        lambda: CheshireSoC(
+            system_tmu_config(variant, frame_beats=beats),
+            reorder_depth=reorder_depth,
+            **sim_kwargs,
+        ),
+        probe=probe,
+    )
+
+
 def run_system_injection(
     variant: Variant,
     stage: InjectionStage,
@@ -163,122 +183,131 @@ def run_system_injection(
     stateful watcher: its bookkeeping only moves on handshake fires and
     wire levels, which are frozen across any span the kernel leaps, so
     the campaign output is byte-identical with leaping on or off.
+
+    The run takes its :class:`CheshireSoC` from the harness slot
+    (:mod:`repro.sim.slot`), keyed by the variant, the frame *beats*
+    (the TMU budgets are sized to it), the ``sim_*`` kernel choices and
+    *reorder_depth*: a key hit power-on resets the previous run's SoC —
+    which then equals a fresh build, attribute by attribute
+    (``tests/faults/test_harness_reuse.py``) — and a miss builds one.
+    *trace* (a simulator probe) rides on the SoC for this run only, and
+    a run that raises drops the slot.
     """
     # Imported here: repro.faults.campaign builds IP harnesses with the
     # reset unit from this package, so a module-level import would cycle.
     from ..faults.campaign import apply_stage_fault
 
-    soc = CheshireSoC(
-        system_tmu_config(variant, frame_beats=beats),
+    # Batch pack leaders lease a LeapTrace probe here, before the
+    # start-delay idle span runs, to collect inert-prefix evidence.
+    with lease_soc(
+        variant,
+        beats,
+        reorder_depth,
+        probe=trace,
         sim_strategy=sim_strategy,
         sim_update_skipping=sim_update_skipping,
         sim_time_leaping=sim_time_leaping,
         sim_tracer=sim_tracer,
-        reorder_depth=reorder_depth,
-    )
-    if trace is not None:
-        # Batch pack leaders register a LeapTrace here, before the
-        # start-delay idle span runs, to collect inert-prefix evidence.
-        soc.sim.add_probe(trace)
-    if start_delay:
-        soc.sim.run(start_delay)
-    soc.send_ethernet_frame(beats, size=size)
-    if background:
-        soc.submit_background_traffic(background)
-    if outstanding > 1:
-        soc.submit_outstanding_reads(outstanding - 1)
+    ) as soc:
+        if start_delay:
+            soc.sim.run(start_delay)
+        soc.send_ethernet_frame(beats, size=size)
+        if background:
+            soc.submit_background_traffic(background)
+        if outstanding > 1:
+            soc.submit_outstanding_reads(outstanding - 1)
 
-    deferred_threshold = None
-    if stage == InjectionStage.DATA_TRANSFER_STALL:
-        deferred_threshold = beats // 2
-    elif stage == InjectionStage.R_MID_BURST_STALL:
-        deferred_threshold = beats // 2
-    else:
-        apply_stage_fault(
-            soc.ethernet.faults,
-            soc.dma.faults,
-            soc.tmu.config.max_uniq_ids + 1,
-            stage,
-        )
-
-    txn_start: Optional[int] = None
-    inject_cycle: Optional[int] = None
-    w_first_cycle: Optional[int] = None
-    w_beats = 0
-    wlast_seen = False
-    observed_cycle = -1
-
-    def detect_tick(_sim) -> bool:
-        # May be consulted more than once per cycle (once pre-leap);
-        # the cycle guard keeps the fired-beat counting idempotent.
-        nonlocal txn_start, inject_cycle, w_first_cycle
-        nonlocal w_beats, wlast_seen, observed_cycle, deferred_threshold
-        if soc.sim.cycle != observed_cycle:
-            observed_cycle = soc.sim.cycle
-            dev = soc.eth_dev_bus
-            if txn_start is None and soc.eth_host_bus.aw.valid.value:
-                txn_start = soc.sim.cycle
-            if dev.w.fired():
-                if w_first_cycle is None:
-                    w_first_cycle = soc.sim.cycle
-                w_beats += 1
-                beat = dev.w.payload.value
-                if beat is not None and beat.last:
-                    wlast_seen = True
-            if (
-                deferred_threshold is not None
-                and inject_cycle is None
-                and w_beats >= deferred_threshold
-            ):
-                apply_stage_fault(
-                    soc.ethernet.faults,
-                    soc.dma.faults,
-                    soc.tmu.config.max_uniq_ids + 1,
-                    stage,
-                )
-                inject_cycle = soc.sim.cycle
-                deferred_threshold = None
-            if inject_cycle is None and _manifested(soc, stage, wlast_seen):
-                inject_cycle = soc.sim.cycle
-        return bool(soc.tmu.irq.value)
-
-    detect_cycle = soc.sim.run_until(detect_tick, timeout=detect_timeout)
-
-    fault = soc.tmu.last_fault
-    recovered = False
-    if detect_cycle is not None:
-        soc.dma.faults.clear()  # software recovery clears the manager fault
-        recovered = (
-            soc.sim.run_until(
-                lambda _sim: (
-                    soc.all_idle
-                    and soc.tmu.state.value == "monitor"
-                    and not soc.tmu.irq.value
-                    and bool(soc.cpu.recoveries)
-                ),
-                timeout=recovery_timeout,
+        deferred_threshold = None
+        if stage == InjectionStage.DATA_TRANSFER_STALL:
+            deferred_threshold = beats // 2
+        elif stage == InjectionStage.R_MID_BURST_STALL:
+            deferred_threshold = beats // 2
+        else:
+            apply_stage_fault(
+                soc.ethernet.faults,
+                soc.dma.faults,
+                soc.tmu.config.max_uniq_ids + 1,
+                stage,
             )
-            is not None
-        )
 
-    return SystemInjectionResult(
-        stage=stage,
-        variant=variant.value,
-        txn_start_cycle=txn_start,
-        inject_cycle=inject_cycle,
-        w_first_cycle=w_first_cycle,
-        detect_cycle=detect_cycle,
-        fault_phase=fault.phase_label if fault else None,
-        fault_kind=fault.kind.value if fault else None,
-        ethernet_resets=soc.ethernet.resets_taken,
-        cpu_recoveries=len(soc.cpu.recoveries),
-        recovered=recovered,
-        **{
-            f"sim_{key}": value
-            for key, value in soc.sim.stats().items()
-            if key in type(soc.sim).STAT_KEYS
-        },
-    )
+        txn_start: Optional[int] = None
+        inject_cycle: Optional[int] = None
+        w_first_cycle: Optional[int] = None
+        w_beats = 0
+        wlast_seen = False
+        observed_cycle = -1
+
+        def detect_tick(_sim) -> bool:
+            # May be consulted more than once per cycle (once pre-leap);
+            # the cycle guard keeps the fired-beat counting idempotent.
+            nonlocal txn_start, inject_cycle, w_first_cycle
+            nonlocal w_beats, wlast_seen, observed_cycle, deferred_threshold
+            if soc.sim.cycle != observed_cycle:
+                observed_cycle = soc.sim.cycle
+                dev = soc.eth_dev_bus
+                if txn_start is None and soc.eth_host_bus.aw.valid.value:
+                    txn_start = soc.sim.cycle
+                if dev.w.fired():
+                    if w_first_cycle is None:
+                        w_first_cycle = soc.sim.cycle
+                    w_beats += 1
+                    beat = dev.w.payload.value
+                    if beat is not None and beat.last:
+                        wlast_seen = True
+                if (
+                    deferred_threshold is not None
+                    and inject_cycle is None
+                    and w_beats >= deferred_threshold
+                ):
+                    apply_stage_fault(
+                        soc.ethernet.faults,
+                        soc.dma.faults,
+                        soc.tmu.config.max_uniq_ids + 1,
+                        stage,
+                    )
+                    inject_cycle = soc.sim.cycle
+                    deferred_threshold = None
+                if inject_cycle is None and _manifested(soc, stage, wlast_seen):
+                    inject_cycle = soc.sim.cycle
+            return bool(soc.tmu.irq.value)
+
+        detect_cycle = soc.sim.run_until(detect_tick, timeout=detect_timeout)
+
+        fault = soc.tmu.last_fault
+        recovered = False
+        if detect_cycle is not None:
+            soc.dma.faults.clear()  # software recovery clears the manager fault
+            recovered = (
+                soc.sim.run_until(
+                    lambda _sim: (
+                        soc.all_idle
+                        and soc.tmu.state.value == "monitor"
+                        and not soc.tmu.irq.value
+                        and bool(soc.cpu.recoveries)
+                    ),
+                    timeout=recovery_timeout,
+                )
+                is not None
+            )
+
+        return SystemInjectionResult(
+            stage=stage,
+            variant=variant.value,
+            txn_start_cycle=txn_start,
+            inject_cycle=inject_cycle,
+            w_first_cycle=w_first_cycle,
+            detect_cycle=detect_cycle,
+            fault_phase=fault.phase_label if fault else None,
+            fault_kind=fault.kind.value if fault else None,
+            ethernet_resets=soc.ethernet.resets_taken,
+            cpu_recoveries=len(soc.cpu.recoveries),
+            recovered=recovered,
+            **{
+                f"sim_{key}": value
+                for key, value in soc.sim.stats().items()
+                if key in type(soc.sim).STAT_KEYS
+            },
+        )
 
 
 def _manifested(soc: CheshireSoC, stage: InjectionStage, wlast_seen: bool) -> bool:

@@ -43,6 +43,18 @@ class Follower(Component):
         self.out.value = self.source.value
 
 
+class Sleeper(Component):
+    """Quiescent after its first update, so the clock leaps past it."""
+
+    demand_update = True
+
+    def update(self):
+        pass
+
+    def quiescent(self):
+        return True
+
+
 class Oscillator(Component):
     """Pathological combinational loop: inverts its own output."""
 
@@ -117,6 +129,18 @@ def test_reset_restores_wires_and_components():
     assert sim.cycle == 0
     assert counter.value == 0
     assert counter.out.value == 0
+
+    # The scheduler statistics rewind with the clock: a reset simulator
+    # reports only what happened since the reset.
+    idle = Simulator()
+    idle.add(Sleeper("s"))
+    idle.run(50)
+    first = idle.stats()
+    assert first == {"leaps": 1, "cycles_leaped": 49}
+    idle.reset()
+    assert idle.stats() == {"leaps": 0, "cycles_leaped": 0}
+    idle.run(50)
+    assert idle.stats() == first
 
 
 def test_run_until_returns_cycle_condition_first_held():
