@@ -11,8 +11,9 @@ per run:
 2. **Differential** — random run sequences on one reused slot give the
    same ``result_to_dict`` output, scheduler statistics included, as a
    fresh build per run.
-3. **Failure** — a run that raises leaves the next run on a fresh
-   build, and a probe leased with a run never outlives it.
+3. **Lifecycle** — a run that raises leaves the next run on a fresh
+   build, a probe leased with a run never outlives it, and each thread
+   leases its own slot.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import collections
 import enum
 import random
+import sys
+import threading
 import types
 
 import pytest
@@ -384,3 +387,35 @@ def test_tracer_kwarg_keys_by_identity():
     assert HARNESSES.harness is first
     run_injection(config, stage, harness_kwargs={"sim_tracer": Tracer()})
     assert HARNESSES.harness is not first
+
+
+def test_threads_each_lease_their_own_slot():
+    """Pull workers may share a process as threads: each needs its own
+    slot, or one thread's lease would reset another's running harness."""
+    config = TmuConfig()
+    runs = [(stage, seed) for stage in InjectionStage for seed in (0, 3)]
+
+    def campaign():
+        return [
+            result_to_dict(run_injection(config, stage, issue_delay=seed))
+            for stage, seed in runs
+        ]
+
+    expected = campaign()
+    results = {}
+
+    def worker(index):
+        results[index] = campaign()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: expected for i in range(4)}
