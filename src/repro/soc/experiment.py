@@ -126,11 +126,25 @@ class SystemInjectionResult:
 
 
 def lease_soc(
-    variant: Variant, beats: int, reorder_depth: int = 0, probe=None, **sim_kwargs
+    variant: Variant,
+    beats: int,
+    reorder_depth: int = 0,
+    probe=None,
+    sim_strategy: str = "dirty",
+    sim_update_skipping: bool = True,
+    sim_time_leaping: bool = True,
+    sim_tracer=None,
 ):
     """Lease the slot's :class:`CheshireSoC` for one run (see
-    :meth:`repro.sim.slot.HarnessSlot.lease`); *sim_kwargs* are the
-    SoC's ``sim_*`` keyword arguments."""
+    :meth:`repro.sim.slot.HarnessSlot.lease`)."""
+    # Every sim_* argument spelled out, defaults included, so callers
+    # passing a subset key the same SoC.
+    sim_kwargs = dict(
+        sim_strategy=sim_strategy,
+        sim_update_skipping=sim_update_skipping,
+        sim_time_leaping=sim_time_leaping,
+        sim_tracer=sim_tracer,
+    )
     return HARNESSES.lease(
         harness_key(
             "system", {"variant": variant.value}, sim_kwargs, reorder_depth, beats

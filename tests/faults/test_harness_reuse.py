@@ -33,8 +33,10 @@ from repro.axi.traffic import write_spec
 from repro.faults import campaign
 from repro.faults.campaign import IpHarness, run_campaign, run_injection
 from repro.faults.types import InjectionStage
+from repro.orchestrate import BatchExecutor, CampaignSpec, run_campaign_spec
 from repro.orchestrate.serialize import result_to_dict
 from repro.sim.slot import HARNESSES
+from repro.soc import experiment
 from repro.soc.cheshire import CheshireSoC, system_tmu_config
 from repro.soc.experiment import run_system_injection
 from repro.telemetry import Tracer
@@ -351,6 +353,27 @@ def test_campaign_builds_one_harness_per_config(monkeypatch):
     )
     assert len(results) == 20
     assert builds == [Variant.FULL, Variant.TINY]
+
+
+def test_batched_system_campaign_builds_one_soc_per_variant(monkeypatch):
+    # The batch executor reads each group's lockstep period off the
+    # slot's SoC before its leader runs: both must key the same SoC.
+    builds = []
+
+    class CountingSoC(CheshireSoC):
+        def __init__(self, *args, **kwargs):
+            builds.append(args[0].variant)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "CheshireSoC", CountingSoC)
+    spec = CampaignSpec.system(
+        list(Variant),
+        [InjectionStage.AW_READY_MISSING, InjectionStage.WLAST_TO_BVALID],
+        beats=16,
+        seeds=range(6),
+    )
+    assert len(run_campaign_spec(spec, executor=BatchExecutor(4))) == 24
+    assert builds == list(Variant)
 
 
 def test_raising_run_leaves_the_next_run_on_a_fresh_build():
