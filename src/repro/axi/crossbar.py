@@ -23,7 +23,7 @@ import dataclasses
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from ..sim.component import Component
+from ..sim.component import UNBOUNDED, Component
 from .channels import BBeat, RBeat, remap_id
 from .interface import AxiInterface
 from .types import Resp
@@ -234,6 +234,44 @@ class Crossbar(Component):
         return not any(
             ch.valid._value and ch.ready._value for ch in self._watch_channels
         )
+
+    def _forwarded_w(self):
+        """The (manager, subordinate) W channels of the one forwarded
+        stream, when that is the only handshake firing; else None."""
+        fired = []
+        for ch in self._watch_channels:
+            if ch.valid._value and ch.ready._value:
+                fired.append(ch)
+                if len(fired) > 2:
+                    return None
+        if len(fired) != 2:
+            return None
+        # Manager-side channels precede subordinate-side ones.
+        mgr_w, sub_w = fired
+        mgr_ws, sub_ws = self._mgr_ch["w"], self._sub_ch["w"]
+        if mgr_w not in mgr_ws or sub_w not in sub_ws:
+            return None
+        m, s = mgr_ws.index(mgr_w), sub_ws.index(sub_w)
+        owners, route = self._sub_w_owner[s], self._mgr_w_route[m]
+        if not (owners and owners[0] == m and route and route[0] == s):
+            return None
+        return mgr_w, sub_w
+
+    def burst_horizon(self) -> int:
+        # Mid-burst W beats commit nothing, so the crossbar bounds no
+        # burst — provided the only handshake firing is one forwarded
+        # W stream (its manager side and its subordinate side).
+        pair = self._forwarded_w()
+        if pair is None or not self._upstream_first(pair[0].payload):
+            return 0
+        return UNBOUNDED
+
+    def burst_wires(self):
+        return (self._forwarded_w()[1].payload,)
+
+    def advance(self, cycles: int) -> None:
+        mgr_w, sub_w = self._forwarded_w()
+        sub_w.burst, mgr_w.burst = mgr_w.burst, None
 
     def snapshot_state(self):
         return (

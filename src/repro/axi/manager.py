@@ -302,6 +302,40 @@ class Manager(Component):
                 self.wake_at(self._sim.cycle + (wake - now))
         return True
 
+    def burst_horizon(self) -> int:
+        # Steady while the last settle fired a W beat, the active burst
+        # streams back to back (no gap), and nothing else can move: no
+        # queued address, no response valid.  Stops before the last
+        # beat, whose handshake completes the burst.
+        bus = self.bus
+        active = self._w_active
+        if (
+            active is None
+            or self._w_gap
+            or self.faults.freeze_w
+            or self._aw_queue
+            or self._ar_queue
+            or bus.b.valid._value
+            or bus.r.valid._value
+            or not (bus.w.valid._value and bus.w.ready._value)
+        ):
+            return 0
+        record, _, index = active
+        if record.spec.w_gap:
+            return 0
+        return record.spec.beats - 1 - index
+
+    def burst_wires(self):
+        return (self.bus.w.payload,)
+
+    def advance(self, cycles: int) -> None:
+        # Post the span's beats and skip past them; the issue delays,
+        # gap and response polls are elapsed-ticked, so the next real
+        # update accounts for the span like any slept one.
+        record, data, index = self._w_active
+        self.bus.w.burst = data[index : index + cycles]
+        self._w_active = (record, data, index + cycles)
+
     def snapshot_state(self):
         # _cycle and the elapsed-ticked counters (issue delays, W gap,
         # response polls) are clock-derived and deliberately excluded;

@@ -48,8 +48,7 @@ class SparseMemory:
     def restore(self, snapshot: Dict[int, bytes]) -> None:
         """Return to the contents a :meth:`snapshot` captured."""
         self._pages = {index: bytearray(page) for index, page in snapshot.items()}
-        for watcher in self._watchers:
-            watcher()
+        self._notify()
 
     @property
     def page_size(self) -> int:
@@ -67,6 +66,22 @@ class SparseMemory:
             self._pages[page_index] = page
         return page
 
+    def _notify(self) -> None:
+        for watcher in self._watchers:
+            watcher()
+
+    def _store(self, addr: int, data) -> None:
+        """Copy *data* to *addr*, one page slice at a time, unwatched."""
+        mask = self._page_size - 1
+        offset = 0
+        length = len(data)
+        while offset < length:
+            at = addr + offset
+            start = at & mask
+            chunk = min(length - offset, self._page_size - start)
+            self._page_for(at)[start : start + chunk] = data[offset : offset + chunk]
+            offset += chunk
+
     def read_byte(self, addr: int) -> int:
         page = self._pages.get(addr >> self._page_bits)
         if page is None:
@@ -75,17 +90,36 @@ class SparseMemory:
 
     def write_byte(self, addr: int, value: int) -> None:
         self._page_for(addr)[addr & (self._page_size - 1)] = value & 0xFF
-        for watcher in self._watchers:
-            watcher()
+        self._notify()
 
     def read(self, addr: int, length: int) -> bytes:
-        """Read *length* bytes starting at *addr*."""
-        return bytes(self.read_byte(addr + i) for i in range(length))
+        """Read *length* bytes starting at *addr*, one slice per page."""
+        mask = self._page_size - 1
+        start = addr & mask
+        if start + length <= self._page_size:
+            page = self._pages.get(addr >> self._page_bits)
+            if page is None:
+                return bytes((self._fill,)) * length
+            return bytes(page[start : start + length])
+        out = bytearray()
+        offset = 0
+        while offset < length:
+            at = addr + offset
+            start = at & mask
+            chunk = min(length - offset, self._page_size - start)
+            page = self._pages.get(at >> self._page_bits)
+            if page is None:
+                out += bytes((self._fill,)) * chunk
+            else:
+                out += page[start : start + chunk]
+            offset += chunk
+        return bytes(out)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write *data* starting at *addr*."""
-        for i, byte in enumerate(data):
-            self.write_byte(addr + i, byte)
+        """Write *data* starting at *addr*; watchers run once per store."""
+        if data:
+            self._store(addr, data)
+            self._notify()
 
     def read_word(self, addr: int, width: int) -> int:
         """Read a little-endian integer of *width* bytes."""
@@ -96,8 +130,28 @@ class SparseMemory:
         self.write(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
     def write_masked(self, addr: int, value: int, strb: int, width: int) -> None:
-        """Apply a write-strobe-masked store, as the W channel requires."""
+        """Apply a write-strobe-masked store, as the W channel requires.
+
+        Each run of enabled byte lanes is one slice copy; lanes whose
+        strobe bit is clear keep their bytes, and the watchers run once
+        per store that wrote anything.
+        """
+        full = (1 << width) - 1
+        strb &= full
+        if not strb:
+            return
         data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        for lane in range(width):
-            if strb & (1 << lane):
-                self.write_byte(addr + lane, data[lane])
+        if strb == full:
+            self._store(addr, data)
+        else:
+            lane = 0
+            while lane < width:
+                if strb >> lane & 1:
+                    end = lane + 1
+                    while end < width and strb >> end & 1:
+                        end += 1
+                    self._store(addr + lane, data[lane:end])
+                    lane = end
+                else:
+                    lane += 1
+        self._notify()

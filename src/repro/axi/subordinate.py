@@ -48,6 +48,8 @@ class SubordinateFaults(DriveSensitiveState):
 
     Injectors flip these switches mid-simulation, between cycles; the
     :class:`DriveSensitiveState` base notifies the owning subordinate.
+    A :class:`BeatTrigger` in ``trigger`` instead lets the subordinate
+    flip one itself, mid-burst, after a given number of beats.
     """
 
     deaf_aw: bool = False
@@ -62,6 +64,7 @@ class SubordinateFaults(DriveSensitiveState):
     spurious_r: Optional[int] = None
     error_resp: bool = False
     reorder_same_id: bool = False
+    trigger: Optional["BeatTrigger"] = None
 
     def clear(self) -> None:
         self.deaf_aw = False
@@ -76,6 +79,7 @@ class SubordinateFaults(DriveSensitiveState):
         self.spurious_r = None
         self.error_resp = False
         self.reorder_same_id = False
+        self.trigger = None
 
     @property
     def any_active(self) -> bool:
@@ -93,8 +97,27 @@ class SubordinateFaults(DriveSensitiveState):
                 self.spurious_r is not None,
                 self.error_resp,
                 self.reorder_same_id,
+                self.trigger is not None,
             )
         )
+
+
+@dataclasses.dataclass
+class BeatTrigger:
+    """Arms a fault switch to flip after a number of beats.
+
+    Once the subordinate has handled *beats* more beats on *channel*
+    (``"w"`` or ``"r"``), it sets the boolean fault switch named
+    *switch* (e.g. ``"deaf_w"``) in the update that handled the last of
+    them, so the fault shows from the next settle — exactly as if an
+    injector had flipped it between cycles.  ``beats=0`` fires in the
+    subordinate's next update.  Mid-burst stall stages arm one before
+    the burst starts; a steady-burst leap never crosses it.
+    """
+
+    channel: str
+    beats: int
+    switch: str
 
 
 @dataclasses.dataclass
@@ -210,6 +233,12 @@ class Subordinate(Component):
         self.resets_taken = 0
         self.writes_done = 0
         self.reads_done = 0
+        #: Handshakes handled since power-on: W beats, W beats carrying
+        #: ``last``, and R beats.  Campaign observers read these instead
+        #: of sampling the channels every cycle.
+        self.w_beats = 0
+        self.w_lasts = 0
+        self.r_beats = 0
         # Stamp of the last accounted update.  Every per-cycle counter
         # (the ready-delay polls, the b/r latency countdowns) advances
         # by `elapsed = now - _stamp` in update(), so a slept span is
@@ -271,6 +300,9 @@ class Subordinate(Component):
             return self._in_reset
         if self._in_reset:
             return False
+        trigger = faults.trigger
+        if trigger is not None and trigger.beats <= 0:
+            return False  # the trigger fires in the next update
         now = self._stamp
         wake: Optional[int] = None
 
@@ -371,7 +403,55 @@ class Subordinate(Component):
             self.resets_taken,
             self.writes_done,
             self.reads_done,
+            self.w_beats,
+            self.w_lasts,
+            self.r_beats,
         )
+
+    def burst_horizon(self) -> int:
+        # Steady while the last settle fired a W beat of the head job
+        # that keeps its ready up (no per-beat delay, no deaf fault) and
+        # nothing else is in flight: no address valid, no queued
+        # response, no read.  Stops before the job's last beat and
+        # before the beat an armed W trigger fires on.
+        bus, faults = self.bus, self.faults
+        if (
+            not self._writes
+            or self.w_ready_delay
+            or faults.deaf_w
+            or self._in_reset
+            or self.hw_reset._value
+            or self._b_queue
+            or self._reads
+            or faults.spurious_b is not None
+            or faults.spurious_r is not None
+            or bus.aw.valid._value
+            or bus.ar.valid._value
+            or not (bus.w.valid._value and bus.w.ready._value)
+            or not self._upstream_first(bus.w.payload)
+        ):
+            return 0
+        job = self._writes[0]
+        horizon = len(job.addrs) - 1 - job.index
+        trigger = faults.trigger
+        if trigger is not None:
+            if trigger.channel == "w":
+                horizon = min(horizon, trigger.beats - 1)
+            elif trigger.beats <= 0:
+                return 0  # fires in the next update
+        return horizon
+
+    def advance(self, cycles: int) -> None:
+        # Take the span's beats off the W channel and store them; the
+        # ready-delay polls and latency countdowns are elapsed-ticked
+        # and reconstruct on the next real update.
+        stream, self.bus.w.burst = self.bus.w.burst, None
+        for data, strb in stream:
+            self._store_w_beat(data, strb)
+        self.w_beats += cycles
+        trigger = self.faults.trigger
+        if trigger is not None and trigger.channel == "w":
+            trigger.beats -= cycles
 
     def _write_capacity(self) -> bool:
         return len(self._writes) + len(self._b_queue) < self.max_outstanding
@@ -669,21 +749,36 @@ class Subordinate(Component):
                 )
             )
             changed = True
-        if w.valid._value and w.ready._value:
-            self._on_w_fired(w.payload._value)
+        w_fired = w.valid._value and w.ready._value
+        if w_fired:
+            beat = w.payload._value
+            self.w_beats += 1
+            if beat is not None and beat.last:
+                self.w_lasts += 1
+            self._on_w_fired(beat)
             changed = True
         if b.valid._value and b.ready._value:
             self._on_b_fired(b_fired_entry)
             changed = True
-        if r.valid._value and r.ready._value:
+        r_fired = r.valid._value and r.ready._value
+        if r_fired:
+            self.r_beats += 1
             self._on_r_fired(r_fired_job)
             changed = True
+        trigger = self.faults.trigger
+        if trigger is not None:
+            counted = w_fired if trigger.channel == "w" else r_fired
+            if counted:
+                trigger.beats -= 1
+            if trigger.beats <= 0:
+                # The switch's DriveSensitiveState hook re-schedules us.
+                self.faults.trigger = None
+                setattr(self.faults, trigger.switch, True)
         if changed:
             self.schedule_drive()
 
-    def _on_w_fired(self, beat) -> None:
-        if not self._writes:
-            return  # W beat with no accepted AW; protocol checker's domain
+    def _store_w_beat(self, data: int, strb: int) -> None:
+        """Write one W beat of the head job to memory and move past it."""
         job = self._writes[0]
         width = bytes_per_beat(job.aw.size)
         bus_bytes = self.bus.data_bytes
@@ -692,13 +787,17 @@ class Subordinate(Component):
             # bus-aligned word containing the beat address.
             addr = job.addrs[job.index]
             base = addr - beat_lane(addr, bus_bytes)
-            self.memory.write_masked(base, beat.data, beat.strb, bus_bytes)
+            self.memory.write_masked(base, data, strb, bus_bytes)
         else:
-            self.memory.write_masked(
-                job.addrs[job.index], beat.data, beat.strb, width
-            )
+            self.memory.write_masked(job.addrs[job.index], data, strb, width)
         job.w_wait = 0
         job.index += 1
+
+    def _on_w_fired(self, beat) -> None:
+        if not self._writes:
+            return  # W beat with no accepted AW; protocol checker's domain
+        job = self._writes[0]
+        self._store_w_beat(beat.data, beat.strb)
         if beat.last or job.index >= len(job.addrs):
             self._writes.popleft()
             self._b_queue.append([job.aw.id, self.b_latency])
@@ -747,6 +846,9 @@ class Subordinate(Component):
         self.resets_taken = 0
         self.writes_done = 0
         self.reads_done = 0
+        self.w_beats = 0
+        self.w_lasts = 0
+        self.r_beats = 0
         self._stamp = 0
         self.faults.clear()
         self.cancel_wake()

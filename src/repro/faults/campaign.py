@@ -19,7 +19,7 @@ from typing import Callable, Iterable, List, Optional
 
 from ..axi.interface import AxiInterface
 from ..axi.manager import Manager
-from ..axi.subordinate import Subordinate
+from ..axi.subordinate import BeatTrigger, Subordinate
 from ..axi.traffic import read_spec, write_spec
 from ..axi.types import AxiDir, bytes_per_beat
 from ..sim.kernel import Simulator
@@ -85,12 +85,11 @@ class IpHarness:
         self._clear_observations()
 
     def _clear_observations(self) -> None:
-        """Zero the interface-event counters the stage triggers read."""
-        self.w_beats_fired = 0
-        self.r_beats_fired = 0
+        """Zero the interface-event records the stage predicates read."""
         self.aw_fired_cycle: Optional[int] = None
         self.ar_fired_cycle: Optional[int] = None
         self.wlast_cycle: Optional[int] = None
+        self._w_lasts_seen = 0
         self._observed_cycle = -1
 
     def reset(self) -> None:
@@ -99,38 +98,47 @@ class IpHarness:
         self._clear_observations()
 
     def _observe(self) -> None:
-        """Record this cycle's device-side fire events (idempotent).
+        """Stamp the device-side events of this cycle (idempotent).
 
-        The counters move only on fired handshakes, which always happen
-        in stepped (never leaped) cycles, so observing after each real
-        step sees every event; the cycle guard makes double observation
-        (e.g. a pre-leap condition check) harmless.
+        ``last`` beats are read off the subordinate's beat counters and
+        the first address handshakes off the wires; all of them are
+        always stepped — a burst leap stops before the last beat and
+        never spans an address handshake, and an idle leap fires
+        nothing — so observing after each stepped cycle stamps each at
+        its own cycle.  The cycle guard makes double observation (e.g. a
+        pre-leap condition check) harmless.
         """
-        if self.sim.cycle == self._observed_cycle:
+        cycle = self.sim.cycle
+        if cycle == self._observed_cycle:
             return
-        self._observed_cycle = self.sim.cycle
-        if self.device.w.fired():
-            self.w_beats_fired += 1
-            beat = self.device.w.payload.value
-            if beat is not None and beat.last:
-                self.wlast_cycle = self.sim.cycle
-        if self.device.r.fired():
-            self.r_beats_fired += 1
-        if self.device.aw.fired() and self.aw_fired_cycle is None:
-            self.aw_fired_cycle = self.sim.cycle
-        if self.device.ar.fired() and self.ar_fired_cycle is None:
-            self.ar_fired_cycle = self.sim.cycle
+        self._observed_cycle = cycle
+        w_lasts = self.subordinate.w_lasts
+        if w_lasts != self._w_lasts_seen:
+            self._w_lasts_seen = w_lasts
+            self.wlast_cycle = cycle
+        if self.aw_fired_cycle is None and self.device.aw.fired():
+            self.aw_fired_cycle = cycle
+        if self.ar_fired_cycle is None and self.device.ar.fired():
+            self.ar_fired_cycle = cycle
 
     def step(self) -> None:
         self.sim.step()
         self._observe()
 
     def run_until(self, condition, timeout: int) -> Optional[int]:
-        """Leap-compatible loop: observe, then evaluate *condition*."""
-        return self.sim.run_until(
-            lambda _sim: (self._observe(), condition(self))[1],
-            timeout=timeout,
-        )
+        """Leap-compatible loop: observe, then evaluate *condition*.
+
+        The loop rides steady-burst leaps when *condition* declares
+        ``burst_aware = True`` (see :meth:`Simulator.run_until`); the
+        observation itself is burst-safe.
+        """
+
+        def observed(_sim) -> bool:
+            self._observe()
+            return condition(self)
+
+        observed.burst_aware = getattr(condition, "burst_aware", False)
+        return self.sim.run_until(observed, timeout=timeout)
 
     @property
     def cycle(self) -> int:
@@ -238,20 +246,19 @@ def _apply_fault(harness: IpHarness, stage: InjectionStage) -> None:
     )
 
 
-def _injection_deferred(stage: InjectionStage, beats: int) -> Optional[Callable]:
-    """Trigger predicate for stages applied mid-transaction, else None.
+def _stage_trigger(stage: InjectionStage, beats: int) -> Optional[BeatTrigger]:
+    """The subordinate's beat trigger for a mid-transaction stage, else None.
 
+    The mid-burst stalls start once half the burst has moved.
     Single-beat bursts have no "middle": the mid-burst stages degenerate
     to their apply-at-start counterparts.
     """
     if beats < 2:
         return None
     if stage == InjectionStage.DATA_TRANSFER_STALL:
-        threshold = beats // 2
-        return lambda harness: harness.w_beats_fired >= threshold
+        return BeatTrigger("w", beats // 2, "deaf_w")
     if stage == InjectionStage.R_MID_BURST_STALL:
-        threshold = beats // 2
-        return lambda harness: harness.r_beats_fired >= threshold
+        return BeatTrigger("r", beats // 2, "mute_r")
     return None
 
 
@@ -274,7 +281,7 @@ def _manifest_predicate(stage: InjectionStage) -> Callable[[IpHarness], bool]:
             h.subordinate.faults.mute_r
         ),
         InjectionStage.R_ID_MISMATCH: lambda h: bool(h.device.r.valid.value),
-        InjectionStage.R_LAST_DROPPED: lambda h: h.r_beats_fired > 0,
+        InjectionStage.R_LAST_DROPPED: lambda h: h.subordinate.r_beats > 0,
         InjectionStage.R_READY_MISSING: lambda h: bool(h.device.r.valid.value),
     }
     del device
@@ -370,28 +377,38 @@ def run_injection(
                 )
             )
 
-        deferred = _injection_deferred(stage, beats)
-        if deferred is None:
+        trigger = _stage_trigger(stage, beats)
+        if trigger is None:
             _apply_fault(harness, stage)
+        else:
+            harness.subordinate.faults.trigger = trigger
         manifest = _manifest_predicate(stage)
 
         txn_start: Optional[int] = None
         inject_cycle: Optional[int] = None
 
+        # Both loop conditions only read wire levels a burst holds
+        # still, the harness's counter-fed observations and the TMU's
+        # interrupt, so they ride steady-burst leaps.
         def detect_tick(h: IpHarness) -> bool:
-            nonlocal txn_start, inject_cycle, deferred
+            nonlocal txn_start, inject_cycle
             if txn_start is None and (
                 h.host.aw.valid.value or h.host.ar.valid.value
             ):
                 txn_start = h.cycle
-            if deferred is not None and inject_cycle is None and deferred(h):
-                _apply_fault(h, stage)
-                deferred = None
-                inject_cycle = h.cycle
             if inject_cycle is None and manifest(h):
                 inject_cycle = h.cycle
             return bool(h.tmu.irq.value)
 
+        def recovered_tick(h: IpHarness) -> bool:
+            return (
+                h.manager.idle
+                and h.tmu.state.value == "monitor"
+                and not h.tmu.irq.value
+            )
+
+        detect_tick.burst_aware = True
+        recovered_tick.burst_aware = True
         detect_cycle = harness.run_until(detect_tick, timeout=detect_timeout)
 
         fault = harness.tmu.last_fault
@@ -400,14 +417,7 @@ def run_injection(
             harness.manager.faults.clear()  # software recovery routine
             harness.tmu.clear_irq()
             recovered = (
-                harness.run_until(
-                    lambda h: (
-                        h.manager.idle
-                        and h.tmu.state.value == "monitor"
-                        and not h.tmu.irq.value
-                    ),
-                    timeout=recovery_timeout,
-                )
+                harness.run_until(recovered_tick, timeout=recovery_timeout)
                 is not None
             )
 

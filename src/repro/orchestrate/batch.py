@@ -45,13 +45,10 @@ import dataclasses
 import json
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..sim.batch import HAVE_NUMPY, LeapTrace, lane_classes, lockstep_period
+from ..sim.batch import LeapTrace, lane_classes, lockstep_period
 from ..sim.kernel import SchedulerDivergenceError
 from .executor import execute_run, lease_harness
 from .spec import RunSpec, Shard
-
-if HAVE_NUMPY:  # pragma: no branch - plain import split
-    import numpy as _np
 
 ShardResult = Tuple[int, list]
 
@@ -283,7 +280,7 @@ class BatchExecutor:
         leader_result,
         followers: Sequence[RunSpec],
     ) -> List[bool]:
-        """Horizon containment, vectorized over the pack's lane axis.
+        """Horizon containment over the pack's lane axis.
 
         IP runs bound detection by an absolute horizon — ``run_until``
         counts ``detect_timeout`` from cycle 0 — so a lane whose
@@ -297,12 +294,6 @@ class BatchExecutor:
         detect = leader_result.detect_cycle
         if detect is None:
             return [False] * len(followers)
-        if HAVE_NUMPY:
-            deltas = (
-                _np.asarray([run.seed for run in followers], dtype=_np.int64)
-                - leader.seed
-            )
-            return list(detect + deltas <= leader.detect_timeout)
         return [
             detect + (run.seed - leader.seed) <= leader.detect_timeout
             for run in followers

@@ -42,6 +42,34 @@ declare ``leap_aware = True``; a leap-aware probe may also implement
 ``Simulator(time_leaping=False)`` disables the fast-forward for A/B
 ablations while keeping the wake heap as a plain re-arm mechanism.
 
+Steady bursts
+-------------
+
+The same jump covers busy spans whose only activity is one running W
+burst (the contract is spelled out under "Steady bursts" in
+:mod:`repro.sim.component`).  Between cycles, when the live updater set
+is not empty, every awake updater reports a *horizon* — how many
+upcoming cycles are steady mid-burst beats for it.  When all report at
+least 2, every pending drive belongs to the burst, and no other
+component reads the wires the burst changes, the kernel takes
+``k = min(horizons, next_wake - cycle, target - cycle - 1)``, calls
+each burst component's ``advance(k)`` in registration order, jumps the
+clock ``k`` cycles through the same :meth:`Simulator._leap_to` the idle
+leap uses (so the span counts in ``leaps`` / ``cycles_leaped`` and
+reaches the tracer's ``leap`` hook and the probes' ``on_leap``), and
+then steps the next cycle normally, re-settling every wire.  Horizons
+stop before the burst's last beat, a counter expiry or an armed fault
+trigger, so every handshake edge the figures measure is still stepped.
+
+A burst moves wires, so it needs more consent than an idle leap: every
+registered probe must declare ``burst_aware = True`` and, in
+:meth:`Simulator.run_until`, so must the condition — a pure observer
+that reads counters rather than per-cycle handshakes.  Everything else
+(the VCD writer, assertion probes, plain conditions) pins the clock to
+per-cycle stepping through bursts while still riding idle leaps.  The
+``verify`` strategy and ``time_leaping=False`` never burst-leap and
+serve as the reference.
+
 Three settle strategies share those semantics:
 
 ``dirty`` (default)
@@ -72,6 +100,7 @@ every strategy rather than silently oscillating.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import operator
 from time import perf_counter_ns
@@ -264,6 +293,7 @@ class Simulator:
                 self._static_updaters.append(component)
                 self._static_updates.append(component.update)
         for child in component.children():
+            child._parent = component
             self.add(child)
         return component
 
@@ -318,6 +348,33 @@ class Simulator:
     def remove_probe(self, probe: Callable[["Simulator"], None]) -> None:
         """Unregister a probe added with :meth:`add_probe`."""
         self._probes.remove(probe)
+
+    def __deepcopy__(self, memo) -> "Simulator":
+        """A fork of this simulator (and, through ``memo``, of its
+        components and wires) that runs on exactly as the original.
+
+        Deep-copy the simulator before its components (harnesses build
+        it first, so copying a harness does): components and wires hold
+        the worklist sets by identity, and a set copied from inside that
+        cycle would come out duplicated, so empty copies are planted
+        first and filled last.  The wire maps are keyed by ``id(wire)``;
+        the fork re-keys them by its own wire copies.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        shared = (self._pending, self._update_pending, self._changed_wires)
+        for live in shared:
+            memo[id(live)] = set()
+        for key, value in self.__dict__.items():
+            setattr(clone, key, copy.deepcopy(value, memo))
+        for live in shared:
+            memo[id(live)].update(copy.deepcopy(item, memo) for item in live)
+        clone._wires = {id(wire): wire for wire in clone._wires.values()}
+        clone._declared_writers = {
+            id(memo[key]): writers
+            for key, writers in clone._declared_writers.items()
+        }
+        return clone
 
     @property
     def wires(self) -> List[Wire]:
@@ -392,8 +449,57 @@ class Simulator:
             and all(getattr(probe, "leap_aware", False) for probe in self._probes)
         )
 
+    def _bursts_ready(self) -> bool:
+        """Whether every probe consents to burst leaps (see the module
+        docstring); only consulted when :meth:`_leap_ready` holds."""
+        return all(getattr(probe, "burst_aware", False) for probe in self._probes)
+
+    def _burst_span(self, target: int) -> int:
+        """Cycles the live updater set can burst-leap now, or 0.
+
+        Every awake updater must report a steady-burst horizon of at
+        least 2; the span is further bounded by the next timed wake and
+        stops one cycle short of *target*, so the run's last cycle is
+        always stepped.  Pending drives and the readers of every burst
+        wire must all belong to the burst: an awake updater, or a child
+        of one.
+        """
+        awake = self._update_pending
+        span = target - self.cycle - 1
+        if span < 2:
+            return 0
+        for component in awake:
+            horizon = component.burst_horizon()
+            if horizon < span:
+                span = horizon
+                if span < 2:
+                    return 0
+        nxt = self._next_wake()
+        if nxt is not None and nxt - self.cycle < span:
+            span = nxt - self.cycle
+            if span < 2:
+                return 0
+        for component in self._pending:
+            if component not in awake and component._parent not in awake:
+                return 0
+        for component in awake:
+            for wire in component.burst_wires():
+                if not wire.update_readers <= awake:
+                    return 0
+                for reader in wire.readers:
+                    if reader not in awake and reader._parent not in awake:
+                        return 0
+        return span
+
+    def _burst_leap(self, span: int) -> None:
+        """Advance every awake updater *span* steady cycles, then jump."""
+        for component in sorted(self._update_pending, key=_BY_ORDER):
+            component.advance(span)
+        self._leap_to(self.cycle + span)
+
     def _leap_to(self, cycle: int) -> None:
-        """Jump the clock to *cycle* across a provably inert span."""
+        """Jump the clock to *cycle* across a provably inert span, or
+        across a steady burst whose components have already advanced."""
         start = self.cycle
         self.cycle = cycle
         self.leaps += 1
@@ -787,7 +893,8 @@ class Simulator:
         With time leaping active, spans where nothing can happen — no
         pending drives, empty live updater set, only timed wakes ahead —
         are crossed in one jump to ``min(next_wake, target)`` instead of
-        being ticked through; the observable end state is identical.
+        being ticked through, and so are steady bursts whose probes all
+        consent; the observable end state is identical.
         """
         target = self.cycle + cycles
         step = self.step
@@ -795,6 +902,7 @@ class Simulator:
             while self.cycle < target:
                 step()
             return
+        bursts = self._bursts_ready()
         while self.cycle < target:
             if self._wake_heap:
                 self._pop_due_wakes()
@@ -804,6 +912,10 @@ class Simulator:
                 if dest > self.cycle:
                     self._leap_to(dest)
                     continue
+            elif bursts and self._update_pending:
+                span = self._burst_span(target)
+                if span:
+                    self._burst_leap(span)
             step()
 
     def run_until(
@@ -821,7 +933,13 @@ class Simulator:
         additionally consulted once *before* each jump (skipping the
         jump when it already holds) and not re-evaluated inside the
         span.  Conditions keyed on wall-clock cycle counts alone should
-        run with ``time_leaping=False``.
+        run with ``time_leaping=False``.  A condition that declares
+        ``burst_aware = True`` promises the same across a steady burst —
+        it cannot turn true inside one, and only reads state the burst
+        components keep exact (beat counters, not per-cycle handshakes)
+        — and lets the kernel burst-leap under it; it is likewise
+        consulted once before each burst and after the stepped cycle
+        that closes it.
         """
         target = self.cycle + timeout
         step = self.step
@@ -831,6 +949,7 @@ class Simulator:
                 if condition(self):
                     return self.cycle
             return None
+        bursts = self._bursts_ready() and getattr(condition, "burst_aware", False)
         while self.cycle < target:
             if self._wake_heap:
                 self._pop_due_wakes()
@@ -849,6 +968,10 @@ class Simulator:
                 if dest > self.cycle:
                     self._leap_to(dest)
                     continue
+            elif bursts and self._update_pending:
+                span = self._burst_span(target)
+                if span and not condition(self):
+                    self._burst_leap(span)
             step()
             if condition(self):
                 return self.cycle

@@ -117,15 +117,22 @@ class Channel:
       the handshake completes — enforcement is the protocol checker's
       job, not the channel's;
     * ``ready`` may be asserted combinationally in response to ``valid``.
+
+    ``burst`` carries a steady burst's payloads across a kernel burst
+    leap (see "Steady bursts" in :mod:`repro.sim.component`): the
+    source's ``advance(k)`` posts the *k* beats it would have driven,
+    each forwarder hands them on to its downstream channel, and the
+    sink takes them, leaving ``None`` behind.
     """
 
-    __slots__ = ("name", "valid", "ready", "payload")
+    __slots__ = ("name", "valid", "ready", "payload", "burst")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.valid = Wire(f"{name}.valid", False)
         self.ready = Wire(f"{name}.ready", False)
         self.payload = Wire(f"{name}.payload", None, width=64)
+        self.burst: Optional[list] = None
 
     def wires(self) -> Iterator[Wire]:
         yield self.valid
@@ -163,6 +170,7 @@ class Channel:
         self.valid.reset()
         self.ready.reset()
         self.payload.reset()
+        self.burst = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -47,8 +47,6 @@ class EthernetMac(Subordinate):
         kwargs.setdefault("max_outstanding", 8)
         super().__init__(name, bus, memory, **kwargs)
         self.line_rate = line_rate_beats_per_cycle
-        self.frames_sent = 0
-        self.beats_received = 0
         # The TX drain is a pure function of the clock between beat
         # arrivals, so it is accounted lazily against a stamp instead
         # of ticking every cycle — a draining (but AXI-idle) MAC is
@@ -75,6 +73,16 @@ class EthernetMac(Subordinate):
             self._tx_stamp = stamp
 
     @property
+    def beats_received(self) -> int:
+        """TX beats accepted over AXI since power-on."""
+        return self.w_beats
+
+    @property
+    def frames_sent(self) -> int:
+        """Frames (W bursts closed by ``last``) accepted since power-on."""
+        return self.w_lasts
+
+    @property
     def tx_beats_buffered(self) -> float:
         """TX beats awaiting the line, including any quiescent tail."""
         if self._sim is not None:
@@ -83,10 +91,19 @@ class EthernetMac(Subordinate):
 
     def _on_w_fired(self, beat) -> None:
         super()._on_w_fired(beat)
-        self.beats_received += 1
         self._tx_buffered += 1
-        if beat.last:
-            self.frames_sent += 1
+
+    def advance(self, cycles: int) -> None:
+        # Each steady beat buffers one TX beat and drains line_rate, in
+        # that order, exactly as the per-cycle update does.
+        super().advance(cycles)
+        sim = self._sim
+        self._sync_tx(sim.cycle)
+        buffered = self._tx_buffered
+        for _ in range(cycles):
+            buffered = max(0.0, buffered + 1 - self.line_rate)
+        self._tx_buffered = buffered
+        self._tx_stamp = sim.cycle + cycles
 
     def update(self) -> None:
         now = self._sim.cycle + 1 if self._sim is not None else self._tx_stamp + 1
@@ -97,17 +114,10 @@ class EthernetMac(Subordinate):
         self._tx_stamp = now
 
     # quiescent() is inherited unchanged: the TX drain no longer needs
-    # the update phase, so only the AXI-side conditions matter.
-
-    def snapshot_state(self):
-        # _tx_buffered/_tx_stamp are clock-derived (lazily resynced)
-        # and excluded; the beat arrivals that feed them are covered by
-        # beats_received and the base subordinate snapshot.
-        return (
-            super().snapshot_state(),
-            self.frames_sent,
-            self.beats_received,
-        )
+    # the update phase, so only the AXI-side conditions matter.  So is
+    # snapshot_state(): _tx_buffered/_tx_stamp are clock-derived
+    # (lazily resynced), and the beat arrivals that feed them are the
+    # base subordinate's snapshotted beat counters.
 
     def _take_reset(self) -> None:
         super()._take_reset()
@@ -117,7 +127,5 @@ class EthernetMac(Subordinate):
 
     def reset(self) -> None:
         super().reset()
-        self.frames_sent = 0
-        self.beats_received = 0
         self._tx_buffered = 0.0
         self._tx_stamp = 0

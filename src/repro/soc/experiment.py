@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from ..axi.subordinate import BeatTrigger
 from ..faults.types import InjectionStage
 from ..sim.slot import HARNESSES, harness_key
 from ..tmu.config import Variant
@@ -194,9 +195,10 @@ def run_system_injection(
     shape.
 
     The detection and recovery loops run through ``run_until`` with a
-    stateful watcher: its bookkeeping only moves on handshake fires and
-    wire levels, which are frozen across any span the kernel leaps, so
-    the campaign output is byte-identical with leaping on or off.
+    stateful watcher that reads the MAC's beat counters and wire levels
+    a leap holds still, and declares ``burst_aware``: the kernel leaps
+    idle spans and steady stretches of the W burst under it, and the
+    campaign output is byte-identical with leaping on or off.
 
     The run takes its :class:`CheshireSoC` from the harness slot
     (:mod:`repro.sim.slot`), keyed by the variant, the frame *beats*
@@ -231,11 +233,13 @@ def run_system_injection(
         if outstanding > 1:
             soc.submit_outstanding_reads(outstanding - 1)
 
-        deferred_threshold = None
+        # The mid-burst stalls start once half the frame has moved: a
+        # beat trigger on the MAC's fault block, so no burst leap can
+        # cross the onset.
         if stage == InjectionStage.DATA_TRANSFER_STALL:
-            deferred_threshold = beats // 2
+            soc.ethernet.faults.trigger = BeatTrigger("w", beats // 2, "deaf_w")
         elif stage == InjectionStage.R_MID_BURST_STALL:
-            deferred_threshold = beats // 2
+            soc.ethernet.faults.trigger = BeatTrigger("w", beats // 2, "mute_r")
         else:
             apply_stage_fault(
                 soc.ethernet.faults,
@@ -247,44 +251,39 @@ def run_system_injection(
         txn_start: Optional[int] = None
         inject_cycle: Optional[int] = None
         w_first_cycle: Optional[int] = None
-        w_beats = 0
-        wlast_seen = False
         observed_cycle = -1
+        eth = soc.ethernet
 
         def detect_tick(_sim) -> bool:
             # May be consulted more than once per cycle (once pre-leap);
-            # the cycle guard keeps the fired-beat counting idempotent.
-            nonlocal txn_start, inject_cycle, w_first_cycle
-            nonlocal w_beats, wlast_seen, observed_cycle, deferred_threshold
-            if soc.sim.cycle != observed_cycle:
-                observed_cycle = soc.sim.cycle
-                dev = soc.eth_dev_bus
+            # the cycle guard keeps the stamping idempotent.  Beats are
+            # read from the MAC's counters, so the cycles a burst leap
+            # crosses need no observation: the first beat, the last beat
+            # and the stall onset are always stepped.
+            nonlocal txn_start, inject_cycle, w_first_cycle, observed_cycle
+            cycle = soc.sim.cycle
+            if cycle != observed_cycle:
+                observed_cycle = cycle
                 if txn_start is None and soc.eth_host_bus.aw.valid.value:
-                    txn_start = soc.sim.cycle
-                if dev.w.fired():
-                    if w_first_cycle is None:
-                        w_first_cycle = soc.sim.cycle
-                    w_beats += 1
-                    beat = dev.w.payload.value
-                    if beat is not None and beat.last:
-                        wlast_seen = True
-                if (
-                    deferred_threshold is not None
-                    and inject_cycle is None
-                    and w_beats >= deferred_threshold
+                    txn_start = cycle
+                if w_first_cycle is None and eth.beats_received:
+                    w_first_cycle = cycle
+                if inject_cycle is None and _manifested(
+                    soc, stage, eth.frames_sent > 0
                 ):
-                    apply_stage_fault(
-                        soc.ethernet.faults,
-                        soc.dma.faults,
-                        soc.tmu.config.max_uniq_ids + 1,
-                        stage,
-                    )
-                    inject_cycle = soc.sim.cycle
-                    deferred_threshold = None
-                if inject_cycle is None and _manifested(soc, stage, wlast_seen):
-                    inject_cycle = soc.sim.cycle
+                    inject_cycle = cycle
             return bool(soc.tmu.irq.value)
 
+        def recovered_tick(_sim) -> bool:
+            return (
+                soc.all_idle
+                and soc.tmu.state.value == "monitor"
+                and not soc.tmu.irq.value
+                and bool(soc.cpu.recoveries)
+            )
+
+        detect_tick.burst_aware = True
+        recovered_tick.burst_aware = True
         detect_cycle = soc.sim.run_until(detect_tick, timeout=detect_timeout)
 
         fault = soc.tmu.last_fault
@@ -292,15 +291,7 @@ def run_system_injection(
         if detect_cycle is not None:
             soc.dma.faults.clear()  # software recovery clears the manager fault
             recovered = (
-                soc.sim.run_until(
-                    lambda _sim: (
-                        soc.all_idle
-                        and soc.tmu.state.value == "monitor"
-                        and not soc.tmu.irq.value
-                        and bool(soc.cpu.recoveries)
-                    ),
-                    timeout=recovery_timeout,
-                )
+                soc.sim.run_until(recovered_tick, timeout=recovery_timeout)
                 is not None
             )
 
@@ -332,6 +323,10 @@ def _manifested(soc: CheshireSoC, stage: InjectionStage, wlast_seen: bool) -> bo
         return bool(dev.aw.fired()) or bool(soc.tmu.write_guard.ott.occupancy)
     if stage == InjectionStage.W_READY_MISSING:
         return bool(dev.w.valid.value)
+    if stage == InjectionStage.DATA_TRANSFER_STALL:
+        return bool(soc.ethernet.faults.deaf_w)
+    if stage == InjectionStage.R_MID_BURST_STALL:
+        return bool(soc.ethernet.faults.mute_r)
     if stage == InjectionStage.WLAST_TO_BVALID:
         return wlast_seen
     if stage in (InjectionStage.B_ID_MISMATCH, InjectionStage.B_READY_MISSING):

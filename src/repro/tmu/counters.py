@@ -13,28 +13,16 @@ trades against detection latency; the area model consumes
 :func:`counter_width`.
 
 The module-level array helpers (:func:`edges_to_expiry_array`,
-:func:`catch_up_array`) are the guard's lane axis over *counters*: one
-vectorized pass over every armed counter of a guard, exactly equivalent
-to the per-counter methods (the property tests in
-``tests/properties/test_batch_properties.py`` pin that down against
-tick-by-tick replay).  They fall back to plain loops when numpy is
-unavailable or the counter population is too small to amortize array
-setup.
+:func:`catch_up_array`) apply the per-counter methods across every armed
+counter of a guard in one call, exactly equivalent to calling them one
+by one (the property tests in ``tests/properties/test_batch_properties.py``
+pin that down against tick-by-tick replay).  A guard holds at most a few
+dozen counters, so they are plain loops.
 """
 
 from __future__ import annotations
 
 import math
-
-try:
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    HAVE_NUMPY = False
-
-#: Below this many counters the python loop beats array construction.
-VECTOR_THRESHOLD = 4
 
 
 def units_for(budget: int, step: int) -> int:
@@ -212,43 +200,18 @@ class PrescaledCounter:
 
 
 # ----------------------------------------------------------------------
-# Vectorized counter-population helpers
+# Counter-population helpers
 # ----------------------------------------------------------------------
 def edges_to_expiry_array(counters) -> list:
-    """Per-counter :meth:`PrescaledCounter.edges_to_expiry`, batched.
-
-    One fused array expression over the whole population instead of a
-    python-level loop; identical results by construction (``max(0,
-    units - count) + (0 if armed else 1)`` element-wise).
-    """
-    if HAVE_NUMPY and len(counters) >= VECTOR_THRESHOLD:
-        n = len(counters)
-        units = _np.fromiter((c.units for c in counters), _np.int64, n)
-        counts = _np.fromiter((c.count for c in counters), _np.int64, n)
-        unarmed = _np.fromiter((not c._armed for c in counters), _np.int64, n)
-        return (_np.maximum(0, units - counts) + unarmed).tolist()
+    """Per-counter :meth:`PrescaledCounter.edges_to_expiry`, as a list."""
     return [counter.edges_to_expiry() for counter in counters]
 
 
 def catch_up_array(counters, edges: int, end_on_edge: bool) -> None:
-    """Apply :meth:`PrescaledCounter.catch_up` across *counters* at once.
+    """Apply :meth:`PrescaledCounter.catch_up` to every counter.
 
-    The increment/clamp arithmetic runs as three array ops; the scalar
-    write-back loop only stores results.  Exactly equivalent to calling
-    ``counter.catch_up(edges, end_on_edge)`` on each counter — same
-    preconditions (no expiry inside the span) and same post-state.
+    Same preconditions (no expiry inside the span) and same post-state
+    as calling ``counter.catch_up(edges, end_on_edge)`` on each.
     """
-    if edges > 0 and HAVE_NUMPY and len(counters) >= VECTOR_THRESHOLD:
-        n = len(counters)
-        units = _np.fromiter((c.units for c in counters), _np.int64, n)
-        counts = _np.fromiter((c.count for c in counters), _np.int64, n)
-        armed = _np.fromiter((c._armed for c in counters), _np.int64, n)
-        increments = edges - 1 + armed
-        counts = _np.minimum(units, counts + _np.maximum(increments, 0))
-        for counter, count in zip(counters, counts.tolist()):
-            counter.count = count
-            counter._armed = True
-            counter._accum = (not counter.sticky) if end_on_edge else True
-        return
     for counter in counters:
         counter.catch_up(edges, end_on_edge)

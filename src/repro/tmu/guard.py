@@ -231,7 +231,7 @@ class GuardBase:
         if not counters:
             return None
         # cycles_to_edge is monotone in the edge count, so the earliest
-        # stamp is the one for the fewest edges; the vectorized helper
+        # stamp is the one for the fewest edges; the population helper
         # computes the whole population's edges in one pass.
         return now + self.prescaler.cycles_to_edge(
             min(edges_to_expiry_array(counters))

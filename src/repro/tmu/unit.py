@@ -25,10 +25,11 @@ from ..axi.channels import BBeat, RBeat, remap_id
 from ..axi.id_remap import IdRemapTable
 from ..axi.interface import AxiInterface
 from ..axi.types import Resp
-from ..sim.component import Component
+from ..sim.component import UNBOUNDED, Component
 from ..sim.signal import Wire
 from .config import TmuConfig
 from .events import FaultEvent
+from .phases import WritePhase
 from .read_guard import ReadGuard
 from .write_guard import WriteGuard
 
@@ -139,6 +140,11 @@ class TransactionMonitoringUnit(Component):
             getattr(bus, ch) for bus in (host, device) for ch in _CHANNELS
         ]
         self._watch_valids = [ch.valid for ch in self._watch_channels]
+        # Every channel but W, whose valids must stay low through a
+        # steady burst.
+        self._non_w_valids = [
+            ch.valid for ch in self._watch_channels if ch not in (host.w, device.w)
+        ]
 
         #: interrupt request to the platform interrupt controller.
         self.irq = Wire(f"{name}.irq", False)
@@ -251,6 +257,61 @@ class TransactionMonitoringUnit(Component):
             # expiry update stamped `wake` runs in the step at wake - 1.
             self.wake_at(self._sim.cycle + (wake - self.cycle))
         return True
+
+    def burst_horizon(self) -> int:
+        # Steady while a host-side W beat fired last settle and every
+        # other channel on both sides is idle.  Monitoring, the beats
+        # pass through to a data phase that counts them and stop short
+        # of its last beat and of the guards' next counter expiry;
+        # recovering, they are drained with nothing to commit until
+        # the last beat or a reset-handshake step.
+        host = self.host
+        if (
+            not self.config.enabled
+            or not (host.w.valid._value and host.w.ready._value)
+            or self.cycle != self._sim.cycle
+            or not self._upstream_first(host.w.payload)
+        ):
+            return 0
+        for valid in self._non_w_valids:
+            if valid._value:
+                return 0
+        if self.state is TmuState.RECOVER:
+            if self._abort_b or self._abort_r:
+                return 0
+            if self._req_state:
+                if self._self_ack_countdown is not None or self.reset_ack._value:
+                    return 0
+            elif self._ack_seen and self._w_drain_remaining == 0:
+                return 0
+            return UNBOUNDED
+        target = self.write_guard.ott.ei_front()
+        if target is None or target.timeout:
+            return 0
+        if not self.write_guard.tiny and target.state != WritePhase.W_DATA:
+            return 0
+        horizon = target.beats - 1 - target.beats_seen
+        for guard in (self.write_guard, self.read_guard):
+            stamp = guard.next_timeout_stamp(self.cycle)
+            if stamp is not None:
+                horizon = min(horizon, stamp - self.cycle - 1)
+        return horizon
+
+    def burst_wires(self):
+        if self.state is TmuState.RECOVER:
+            return ()
+        return (self.device.w.payload,)
+
+    def advance(self, cycles: int) -> None:
+        host, device = self.host, self.device
+        self.cycle += cycles
+        if self.state is TmuState.RECOVER:
+            host.w.burst = None  # drained
+            return
+        device.w.burst, host.w.burst = host.w.burst, None
+        self.write_guard.catch_up(cycles)
+        self.read_guard.catch_up(cycles)
+        self.write_guard.ott.ei_front().beats_seen += cycles
 
     def snapshot_state(self):
         return (

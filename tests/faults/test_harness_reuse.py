@@ -19,6 +19,7 @@ per run:
 from __future__ import annotations
 
 import collections
+import copy
 import enum
 import random
 import sys
@@ -169,12 +170,12 @@ def test_state_diff_sees_leftover_state():
     assert state_diff(harness, fresh) == []
     harness.subordinate.memory.write_byte(0x1000, 7)
     harness.sim.leaps = 1
-    harness.w_beats_fired = 2
+    harness.wlast_cycle = 2
     diff = state_diff(harness, fresh)
     assert len(diff) == 3
     assert any("memory._pages" in path for path in diff)
     assert any(path.endswith("sim.leaps: 1 != 0") for path in diff)
-    assert any("w_beats_fired" in path for path in diff)
+    assert any("wlast_cycle" in path for path in diff)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -226,6 +227,71 @@ def test_reset_soc_equals_fresh_build(variant):
     assert HARNESSES.harness is None
     soc.reset()
     assert state_diff(soc, fresh()) == []
+
+
+# ----------------------------------------------------------------------
+# A steady-burst leap leaves the state stepping leaves
+# ----------------------------------------------------------------------
+class _SpanLog:
+    """Burst-aware probe recording every leap's span."""
+
+    leap_aware = True
+    burst_aware = True
+
+    def __init__(self) -> None:
+        self.spans = []
+
+    def __call__(self, sim) -> None:
+        pass
+
+    def on_leap(self, sim, start, end) -> None:
+        self.spans.append((start, end))
+
+
+#: The only paths a leaped and a stepped SoC may differ in: the switch
+#: itself and the scheduler statistics counting the leaps.
+_LEAP_BOOKKEEPING = tuple(
+    f"harness.sim.{name}:" for name in ("time_leaping", "leaps", "cycles_leaped")
+)
+
+
+def _burst_soc(variant, deaf_aw: bool, **kwargs) -> CheshireSoC:
+    soc = CheshireSoC(system_tmu_config(variant, frame_beats=64), **kwargs)
+    if deaf_aw:
+        soc.ethernet.faults.deaf_aw = True
+    soc.send_ethernet_frame(64)
+    return soc
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("deaf_aw", [False, True], ids=["monitor", "recover"])
+def test_burst_leap_equals_stepping(variant, deaf_aw):
+    """A deep copy of the SoC after one burst leap equals a copy stepped
+    through the same cycles with leaping off — every attribute, object
+    identities aside — and a SoC stepped from power-on.  ``deaf_aw``
+    makes the TMU detect the stalled address and drain the frame in
+    recovery mode instead."""
+    soc = _burst_soc(variant, deaf_aw)
+    soc.sim.run(5)  # into the frame's first beats
+
+    scout, log = copy.deepcopy(soc), _SpanLog()
+    scout.sim.add_probe(log)
+    scout.sim.run(400)
+    start, end = log.spans[0]
+    assert start >= soc.sim.cycle and end - start >= 2
+    leaped, stepped = copy.deepcopy(soc), copy.deepcopy(soc)
+    stepped.sim.time_leaping = False
+    # Through the leap and the stepped cycle that closes it.
+    leaped.sim.run(end + 1 - soc.sim.cycle)
+    stepped.sim.run(end + 1 - soc.sim.cycle)
+    assert leaped.sim.leaps == soc.sim.leaps + 1
+    assert leaped.sim.cycles_leaped - soc.sim.cycles_leaped == end - start
+
+    reference = _burst_soc(variant, deaf_aw, sim_time_leaping=False)
+    reference.sim.run(end + 1)
+    for other in (stepped, reference):
+        diff = state_diff(leaped, other)
+        assert [path for path in diff if not path.startswith(_LEAP_BOOKKEEPING)] == []
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ Two pillars:
 * the guard-level expiry prediction and O(1) catch-up must agree with
   tick-by-tick prescaled counting for any budget/step/phase alignment —
   this is what makes a leaped stall detect at the exact same cycle;
-* a randomized IP-level fault campaign must produce identical results
-  (detection cycle, fault classification, recovery) with time leaping
-  on, off, and under ``strategy="verify"``.
+* randomized IP-level and system-level fault campaigns must produce
+  identical results (detection cycle, fault classification, recovery)
+  with time leaping on, off, and under ``strategy="verify"`` — the
+  system runs exercising steady-burst leaps across the Ethernet frame.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.faults.campaign import run_injection
 from repro.faults.types import InjectionStage
+from repro.soc.experiment import FIG11_STAGES, run_system_injection
 from repro.tmu.budget import AdaptiveBudgetPolicy, PhaseBudgets, SpanBudgets
 from repro.tmu.config import TmuConfig, Variant
 from repro.tmu.counters import Prescaler, PrescaledCounter
@@ -129,3 +131,53 @@ def test_random_injection_identical_across_leap_modes(
     assert leap == run(sim_time_leaping=False)
     assert leap == run(sim_strategy="verify")
     assert leap == run(sim_strategy="exhaustive")
+
+
+# ----------------------------------------------------------------------
+# System level: steady-burst leaps through the Cheshire SoC
+# ----------------------------------------------------------------------
+system_stages = st.sampled_from(
+    [
+        *FIG11_STAGES,
+        InjectionStage.B_ID_MISMATCH,
+        InjectionStage.R_MID_BURST_STALL,
+    ]
+)
+
+
+@given(
+    st.sampled_from([Variant.FULL, Variant.TINY]),
+    system_stages,
+    st.integers(0, 7),
+    st.integers(1, 48),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_random_system_injection_identical_across_leap_modes(
+    variant, stage, seed, beats, size
+):
+    """One random Fig. 11-style run: leap on == leap off == verify.
+
+    The Ethernet frame's W burst is what burst leaps cross; the random
+    frame length and beat width move the stall trigger, the TMU's
+    budget expiries and the recovery drain across it.
+    """
+
+    def run(**kwargs):
+        result = run_system_injection(
+            variant,
+            stage,
+            beats=beats,
+            size=size,
+            start_delay=seed,
+            detect_timeout=2_000,
+            recovery_timeout=1_000,
+            **kwargs,
+        )
+        payload = dataclasses.asdict(result)
+        del payload["sim_leaps"], payload["sim_cycles_leaped"]
+        return payload
+
+    leap = run()
+    assert leap == run(sim_time_leaping=False)
+    assert leap == run(sim_strategy="verify")
