@@ -14,7 +14,7 @@ import dataclasses
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..sim.component import Component, DriveSensitiveState
+from ..sim.component import UNBOUNDED, Component, DriveSensitiveState
 from .channels import ArBeat, AwBeat, BBeat, RBeat, WBeat
 from .interface import AxiInterface
 from .traffic import TransactionSpec
@@ -303,38 +303,93 @@ class Manager(Component):
         return True
 
     def burst_horizon(self) -> int:
-        # Steady while the last settle fired a W beat, the active burst
-        # streams back to back (no gap), and nothing else can move: no
-        # queued address, no response valid.  Stops before the last
-        # beat, whose handshake completes the burst.
-        bus = self.bus
+        # Steady while the last settle fired a beat of exactly one
+        # stream — a W burst we source back to back (no gap), or R beats
+        # we sink with ready held up for every read ID — and every level
+        # we drive next settle is the one on the wire: a queued address
+        # stalled (valid up, ready down), held back by the outstanding
+        # cap or by its issue delay (until it runs out), W idle, frozen
+        # or stalled, and a B or R response stalled only while we are
+        # deaf to it.  A W stream stops before its last beat, whose
+        # handshake completes the burst; the R source bounds its own
+        # stream.
+        bus, faults = self.bus, self.faults
+        w, b, r = bus.w, bus.b, bus.r
+        w_stream = w.valid._value and w.ready._value
+        r_stream = r.valid._value and r.ready._value
+        if w_stream == r_stream:
+            return 0
+        issue = UNBOUNDED
+        if self._aw_queue or self._ar_queue or bus.aw.valid._value or bus.ar.valid._value:
+            allowed = self._issue_allowed()
+            for queue, delay, channel in (
+                (self._aw_queue, self._aw_delay, bus.aw),
+                (self._ar_queue, self._ar_delay, bus.ar),
+            ):
+                shown = bool(queue) and allowed and not delay
+                if channel.valid._value != shown or (shown and channel.ready._value):
+                    return 0
+                if queue and allowed and delay:
+                    # The valid rises when the delay runs out, which the
+                    # next real update's elapsed ticks reconstruct.
+                    issue = min(issue, delay - 1)
         active = self._w_active
-        if (
-            active is None
-            or self._w_gap
-            or self.faults.freeze_w
-            or self._aw_queue
-            or self._ar_queue
-            or bus.b.valid._value
-            or bus.r.valid._value
-            or not (bus.w.valid._value and bus.w.ready._value)
+        if w_stream:
+            if active is None or self._w_gap or faults.freeze_w:
+                return 0
+            record, _, index = active
+            if record.spec.w_gap:
+                return 0
+            horizon = record.spec.beats - 1 - index
+        else:
+            if active is None:
+                if self._w_pending:
+                    return 0  # the next burst activates
+            elif self._w_gap and not faults.freeze_w:
+                return 0  # the gap runs out mid-span
+            shown = active is not None and not faults.freeze_w
+            if w.valid._value != shown:
+                return 0
+            if faults.deaf_r or not self._upstream_first(r.payload):
+                return 0
+            for (direction, _), records in self._outstanding.items():
+                if direction is AxiDir.READ and records[0].spec.resp_ready_delay:
+                    return 0
+            horizon = UNBOUNDED
+        # A response ready is up exactly when we are not deaf to it (no
+        # ready delays): a shown response then fires unless we are deaf.
+        if b.ready._value == faults.deaf_b or (b.valid._value and not faults.deaf_b):
+            return 0
+        if not r_stream and (
+            r.ready._value == faults.deaf_r or (r.valid._value and not faults.deaf_r)
         ):
             return 0
-        record, _, index = active
-        if record.spec.w_gap:
-            return 0
-        return record.spec.beats - 1 - index
+        return min(horizon, issue)
 
     def burst_wires(self):
-        return (self.bus.w.payload,)
+        w = self.bus.w
+        if w.valid._value and w.ready._value:
+            return (w.payload,)
+        return ()
 
     def advance(self, cycles: int) -> None:
-        # Post the span's beats and skip past them; the issue delays,
+        # Post the span's W beats and skip past them, or score the
+        # span's R beats at the cycles stepping would; the issue delays,
         # gap and response polls are elapsed-ticked, so the next real
         # update accounts for the span like any slept one.
-        record, data, index = self._w_active
-        self.bus.w.burst = data[index : index + cycles]
-        self._w_active = (record, data, index + cycles)
+        bus = self.bus
+        if bus.w.valid._value and bus.w.ready._value:
+            record, data, index = self._w_active
+            if record.first_data_cycle is None:
+                record.first_data_cycle = self._sim.cycle + 1
+            bus.w.burst = data[index : index + cycles]
+            self._w_active = (record, data, index + cycles)
+            return
+        beats, bus.r.burst = bus.r.burst, None
+        start = self._sim.cycle
+        for offset, beat in enumerate(beats, 1):
+            self._cycle = start + offset
+            self._on_r_fired(beat)
 
     def snapshot_state(self):
         # _cycle and the elapsed-ticked counters (issue delays, W gap,

@@ -17,7 +17,7 @@ import dataclasses
 from collections import deque
 from typing import Deque, List, Optional
 
-from ..sim.component import Component, DriveSensitiveState
+from ..sim.component import UNBOUNDED, Component, DriveSensitiveState
 from ..sim.signal import Wire
 from .channels import ArBeat, AwBeat, BBeat, RBeat
 from .interface import AxiInterface
@@ -112,7 +112,7 @@ class BeatTrigger:
     them, so the fault shows from the next settle — exactly as if an
     injector had flipped it between cycles.  ``beats=0`` fires in the
     subordinate's next update.  Mid-burst stall stages arm one before
-    the burst starts; a steady-burst leap never crosses it.
+    the burst starts; a stream leap never crosses it.
     """
 
     channel: str
@@ -409,48 +409,164 @@ class Subordinate(Component):
         )
 
     def burst_horizon(self) -> int:
-        # Steady while the last settle fired a W beat of the head job
-        # that keeps its ready up (no per-beat delay, no deaf fault) and
-        # nothing else is in flight: no address valid, no queued
-        # response, no read.  Stops before the job's last beat and
-        # before the beat an armed W trigger fires on.
+        # Steady while the last settle fired a beat of exactly one
+        # stream — a W burst we sink or an R stream we serve — and every
+        # level we drive next settle (from state) is the one on the wire:
+        # an address valid stays unanswered (deaf or full), W ready
+        # cannot cross its delay, and a queued B response or a
+        # non-streaming read shows no change before it matures (a muted
+        # one never does).  Stops before the W burst's last beat, any
+        # read's first or last beat, and an armed trigger's beat.
         bus, faults = self.bus, self.faults
+        aw, w, ar, b, r = bus.aw, bus.w, bus.ar, bus.b, bus.r
+        w_stream = w.valid._value and w.ready._value
+        r_stream = r.valid._value and r.ready._value
         if (
-            not self._writes
-            or self.w_ready_delay
-            or faults.deaf_w
+            w_stream == r_stream
             or self._in_reset
             or self.hw_reset._value
-            or self._b_queue
-            or self._reads
             or faults.spurious_b is not None
             or faults.spurious_r is not None
-            or bus.aw.valid._value
-            or bus.ar.valid._value
-            or not (bus.w.valid._value and bus.w.ready._value)
-            or not self._upstream_first(bus.w.payload)
         ):
             return 0
-        job = self._writes[0]
-        horizon = len(job.addrs) - 1 - job.index
         trigger = faults.trigger
-        if trigger is not None:
-            if trigger.channel == "w":
-                horizon = min(horizon, trigger.beats - 1)
-            elif trigger.beats <= 0:
-                return 0  # fires in the next update
+        if trigger is not None and trigger.beats <= 0:
+            return 0  # fires in the next update
+        aw_open = not faults.deaf_aw and self._write_capacity()
+        if aw.valid._value and aw_open:
+            return 0
+        if aw.ready._value != (aw_open and self._aw_wait >= self.aw_ready_delay):
+            return 0
+        ar_open = not faults.deaf_ar and len(self._reads) < self.max_outstanding
+        if ar.valid._value and ar_open:
+            return 0
+        if ar.ready._value != (ar_open and self._ar_wait >= self.ar_ready_delay):
+            return 0
+        if w_stream:
+            if (
+                not self._writes
+                or self.w_ready_delay
+                or faults.deaf_w
+                or not self._upstream_first(w.payload)
+            ):
+                return 0
+            job = self._writes[0]
+            horizon = len(job.addrs) - 1 - job.index
+        else:
+            if self._writes and not faults.deaf_w:
+                if self._writes[0].w_wait < self.w_ready_delay:
+                    return 0  # w_ready rises mid-span
+                if not w.ready._value:
+                    return 0
+            elif w.ready._value:
+                return 0
+            horizon = self._r_stream_horizon()
+        if trigger is not None and trigger.channel == ("w" if w_stream else "r"):
+            horizon = min(horizon, trigger.beats - 1)
+        if self._b_queue:
+            horizon = min(horizon, self._b_hold())
+        elif b.valid._value:
+            return 0
+        if not r_stream:
+            if r.valid._value:
+                return 0  # a stalled read the W stream may rewrite
+            if self._reads and not faults.mute_r:
+                if self._select_r_job() is not None:
+                    return 0  # r_valid rises
+                horizon = min(horizon, self._r_chain_bound())
         return horizon
 
+    def _r_stream_horizon(self) -> int:
+        """Steady R beats ahead: the round-robin over the window's heads
+        reaches no head's first or last beat and no head matures."""
+        faults = self.faults
+        if (
+            self.r_gap
+            or faults.mute_r
+            or faults.error_resp
+            or faults.reorder_same_id
+        ):
+            return 0
+        heads = self._r_heads()
+        count = len(heads)
+        if not count:
+            return 0
+        horizon = self._r_chain_bound()
+        for position, job in enumerate(heads):
+            # Head `position` serves beats j = offset, offset + count, ...
+            offset = (position - self._r_rr) % count
+            if job.index == 0:
+                horizon = min(horizon, offset)
+            else:
+                last = len(job.addrs) - 1 - job.index
+                horizon = min(horizon, offset + last * count)
+        return horizon
+
+    def _r_chain_bound(self) -> int:
+        """Cycles before the first in-window read could become a head:
+        one short of its latency/gap chain expiring, which
+        :meth:`update` reconstructs only on the next real update."""
+        bound = UNBOUNDED
+        window = self._r_window()
+        for position, job in enumerate(self._reads):
+            if position >= window:
+                break
+            chain = job.countdown + job.gap
+            if chain > 0:
+                bound = min(bound, chain - 1)
+        return bound
+
+    def _b_hold(self) -> int:
+        """Cycles the B channel keeps its level: the presented response
+        (if any) is the wire's, it is not taken, and no other response
+        matures into the selection before the span ends."""
+        bus, faults = self.bus, self.faults
+        if faults.mute_b:
+            return 0 if bus.b.valid._value else UNBOUNDED
+        entry = self._select_b_entry()
+        if entry is None:
+            if bus.b.valid._value:
+                return 0
+        elif bus.b.ready._value or bus.b.payload._value != self._b_beat(entry):
+            return 0
+        bound = UNBOUNDED
+        window = self._b_window()
+        for position, queued in enumerate(self._b_queue):
+            if position >= window:
+                break
+            if queued[1] > 0:
+                bound = min(bound, queued[1] - 1)
+        return bound
+
+    def burst_wires(self):
+        bus = self.bus
+        if bus.r.valid._value and bus.r.ready._value:
+            return (bus.r.payload,)
+        return ()
+
     def advance(self, cycles: int) -> None:
-        # Take the span's beats off the W channel and store them; the
-        # ready-delay polls and latency countdowns are elapsed-ticked
-        # and reconstruct on the next real update.
-        stream, self.bus.w.burst = self.bus.w.burst, None
-        for data, strb in stream:
-            self._store_w_beat(data, strb)
-        self.w_beats += cycles
+        # Take the span's W beats off the channel and store them, or
+        # serve and post the span's R beats; the ready-delay polls and
+        # latency countdowns are elapsed-ticked and reconstruct on the
+        # next real update.
+        bus = self.bus
         trigger = self.faults.trigger
-        if trigger is not None and trigger.channel == "w":
+        if bus.w.valid._value and bus.w.ready._value:
+            stream, bus.w.burst = bus.w.burst, None
+            for data, strb in stream:
+                self._store_w_beat(data, strb)
+            self.w_beats += cycles
+            channel = "w"
+        else:
+            beats = []
+            for _ in range(cycles):
+                job = self._select_r_job()
+                beats.append(self._r_beat(job))
+                self._on_r_fired(job)
+            bus.r.burst = beats
+            self.r_beats += cycles
+            channel = "r"
+        if trigger is not None and trigger.channel == channel:
             trigger.beats -= cycles
 
     def _write_capacity(self) -> bool:
@@ -495,11 +611,16 @@ class Subordinate(Component):
         if entry is None:
             bus.b.idle()
             return
+        bus.b.drive(self._b_beat(entry))
+
+    def _b_beat(self, entry: List[int]) -> BBeat:
+        """The B response presenting queued *entry*."""
+        faults = self.faults
         txn_id = entry[0]
         if faults.corrupt_b_id is not None:
             txn_id = faults.corrupt_b_id
         resp = Resp.SLVERR if faults.error_resp else Resp.OKAY
-        bus.b.drive(BBeat(id=txn_id, resp=resp))
+        return BBeat(id=txn_id, resp=resp)
 
     def _r_window(self) -> int:
         """Read-side reorder window size (``interleave_reads`` = unbounded)."""
@@ -511,21 +632,21 @@ class Subordinate(Component):
         """Write-response reorder window size."""
         return max(1, self.reorder_depth)
 
-    def _select_r_job(self) -> Optional[_ReadJob]:
-        """Deterministic choice of the read job to serve this cycle.
+    def _r_heads(self) -> List[_ReadJob]:
+        """The read jobs servable this cycle, in round-robin order.
 
-        Pure function of registered state, so drive() and update() can
-        both call it and agree.  With a window of one the oldest job is
-        served; otherwise the round-robin pointer picks among the heads
-        of each ID's in-order stream within the window (every job when
-        the ``reorder_same_id`` fault erases the same-ID constraint).
+        With a window of one only the oldest job, once its latency and
+        gap have run out; otherwise the heads of each ID's in-order
+        stream within the window (every job when the
+        ``reorder_same_id`` fault erases the same-ID constraint) whose
+        chains have run out.
         """
         if not self._reads:
-            return None
+            return []
         window = self._r_window()
         if window <= 1:
             job = self._reads[0]
-            return job if job.countdown == 0 and job.gap == 0 else None
+            return [job] if job.countdown == 0 and job.gap == 0 else []
         heads = []
         seen_ids = set()
         for position, job in enumerate(self._reads):
@@ -536,6 +657,18 @@ class Subordinate(Component):
             seen_ids.add(job.ar.id)
             if job.countdown == 0 and job.gap == 0:
                 heads.append(job)
+        return heads
+
+    def _select_r_job(self) -> Optional[_ReadJob]:
+        """Deterministic choice of the read job to serve this cycle.
+
+        Pure function of registered state, so drive() and update() can
+        both call it and agree: the round-robin pointer picks among
+        :meth:`_r_heads`.
+        """
+        if not self._reads:
+            return None
+        heads = self._r_heads()
         if not heads:
             return None
         return heads[self._r_rr % len(heads)]
@@ -579,6 +712,11 @@ class Subordinate(Component):
         if faults.mute_r or job is None:
             bus.r.idle()
             return
+        bus.r.drive(self._r_beat(job))
+
+    def _r_beat(self, job: _ReadJob) -> RBeat:
+        """The R beat serving *job*'s next address."""
+        faults = self.faults
         width = bytes_per_beat(job.ar.size)
         addr = job.addrs[job.index]
         data = self.memory.read_word(addr, width)
@@ -592,7 +730,7 @@ class Subordinate(Component):
         if faults.drop_r_last:
             is_last = False
         resp = Resp.SLVERR if faults.error_resp else Resp.OKAY
-        bus.r.drive(RBeat(id=txn_id, data=data, resp=resp, last=is_last))
+        return RBeat(id=txn_id, data=data, resp=resp, last=is_last)
 
     def update(self) -> None:
         # Clock-edge code: wire reads go straight to the slots (no

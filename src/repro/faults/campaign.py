@@ -128,7 +128,7 @@ class IpHarness:
     def run_until(self, condition, timeout: int) -> Optional[int]:
         """Leap-compatible loop: observe, then evaluate *condition*.
 
-        The loop rides steady-burst leaps when *condition* declares
+        The loop rides stream leaps when *condition* declares
         ``burst_aware = True`` (see :meth:`Simulator.run_until`); the
         observation itself is burst-safe.
         """
@@ -387,9 +387,9 @@ def run_injection(
         txn_start: Optional[int] = None
         inject_cycle: Optional[int] = None
 
-        # Both loop conditions only read wire levels a burst holds
+        # Both loop conditions only read wire levels a stream holds
         # still, the harness's counter-fed observations and the TMU's
-        # interrupt, so they ride steady-burst leaps.
+        # interrupt, so they ride stream leaps.
         def detect_tick(h: IpHarness) -> bool:
             nonlocal txn_start, inject_cycle
             if txn_start is None and (

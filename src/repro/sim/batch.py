@@ -121,7 +121,7 @@ class LeapTrace:
     stepped prefix must be the contiguous startup transient ``0 ..
     k-1`` with ``k`` strictly below the onset — i.e. the kernel
     provably fast-forwarded the rest of the gap.  It reads no wire, so
-    it rides steady-burst leaps too: those start only after the onset
+    it rides stream leaps too: those start only after the onset
     and count like any other leap.
     """
 

@@ -96,50 +96,58 @@ applies ``elapsed = now - stamp`` ticks on wake — under an always-on
 update phase ``elapsed`` is 1 every cycle, so one implementation serves
 both modes and ``strategy="verify"`` replays remain exact.
 
-Steady bursts
--------------
+Steady streams
+--------------
 
-A long W burst keeps the same few components awake for hundreds of
-cycles — the manager sourcing it, the crossbar and TMU forwarding it,
-the subordinate sinking it — and every one of those cycles fires one
-beat and moves nothing but the W payload wires and per-beat counts.
-Under time leaping the kernel crosses such a span in one jump, a
-*burst leap*, through three hooks:
+A long data burst keeps the same few components awake for hundreds of
+cycles — the manager sourcing a W burst or sinking R beats, the
+crossbar and TMU forwarding them, the subordinate sinking the W burst
+or serving R beats round-robin from its reorder window — and every one
+of those cycles fires one beat and moves nothing but the payload wires
+and per-beat counts.  Under time leaping the kernel crosses such a span
+in one jump, a *stream leap*, through three hooks:
 
 * :meth:`burst_horizon` — asked between cycles of every awake updater.
   It returns how many upcoming cycles, starting with the current one,
-  are *steady* for this component: each fires exactly one mid-burst W
-  beat on the channels it sources, forwards or sinks, no other
-  handshake fires, every valid and ready level it reads or drives
-  stays put, and its update does nothing :meth:`advance` cannot
-  reproduce.  The horizon must stop short of anything that has to be
-  stepped: the burst's last beat, a counter expiry, an armed fault
-  trigger, a gap or ready-delay crossing.  ``0`` (the default) means
-  "not in a steady burst"; :data:`UNBOUNDED` means "no bound of my
-  own" (a crossbar forwarding mid-burst beats commits nothing).
+  are *steady* for this component: each fires exactly one beat of a W
+  or R stream on the channels it sources, forwards or sinks; no other
+  handshake fires; every other channel holds its level — idle, or
+  stalled with valid high and ready low; every valid and ready level
+  the component reads or drives stays put; and its update does nothing
+  :meth:`advance` cannot reproduce.  The horizon must stop short of
+  anything that has to be stepped: a transaction's first or last beat
+  where the component commits more than a beat count (a monitor's
+  phase change, a scoreboard completion), a counter expiry, an armed
+  fault trigger, a gap, ready-delay or issue-delay crossing, a queued
+  response or read maturing.  ``0`` (the default) means "not in a
+  steady stream"; :data:`UNBOUNDED` means "no bound of my own" (a
+  crossbar forwarding mid-burst beats commits nothing).
 * :meth:`burst_wires` — the wires this component drives that change
-  across the span (its W payload output).  The kernel leaps only when
-  every drive reader of those wires belongs to the burst (an awake
-  updater or one of its children) and every update reader is awake.
+  across the span (the payload outputs of the streams it sources or
+  forwards).  The kernel leaps only when every drive reader of those
+  wires belongs to the stream (an awake updater or one of its
+  children) and every update reader is awake.
 * :meth:`advance` — apply *k* steady updates at once, exactly as *k*
   calls of ``update()`` would have.  Clock-derived state follows the
   timed-wake rules: a component may leave its stamp alone and let the
   next real update account for the elapsed span.  Payloads travel on
-  :attr:`~repro.sim.signal.Channel.burst`: the source posts the
-  ``(data, strb)`` pairs of its *k* beats, a forwarder moves them to
-  its downstream channel, and the sink takes them.  The kernel calls
-  ``advance`` in registration order, so a forwarder or sink must
-  report horizon 0 unless the writers of its upstream payload wire are
-  registered before it (:meth:`_upstream_first`).
+  :attr:`~repro.sim.signal.Channel.burst`: the source posts the *k*
+  payloads of its stream (``(data, strb)`` pairs for W, ``RBeat``
+  objects for R), a forwarder moves them to its downstream channel,
+  and the sink takes them.  The kernel calls ``advance`` upstream
+  first: the writer of every burst wire before that wire's readers,
+  sinks (no burst wires) last.  A forwarder or sink reports horizon 0
+  unless every declared writer of its upstream payload wire can post
+  a stream (:meth:`_upstream_first`).
 
-The kernel burst-leaps only when every awake updater reports a horizon
-of at least 2, every pending drive belongs to the burst, and the span
+The kernel stream-leaps only when every awake updater reports a horizon
+of at least 2, every pending drive belongs to the stream, and the span
 stays short of the next timed wake and of the run's last cycle; it then
 jumps the clock *k* cycles, counts the span in its ``leaps`` /
 ``cycles_leaped`` statistics, and steps the next cycle normally, which
-re-settles every wire.  A burst changes wires, so only probes declaring
-``burst_aware = True`` (the batch executor's ``LeapTrace``) and
-``run_until`` conditions carrying the same attribute (the campaign
+re-settles every wire.  A stream changes wires, so only probes
+declaring ``burst_aware = True`` (the batch executor's ``LeapTrace``)
+and ``run_until`` conditions carrying the same attribute (the campaign
 observers, which read beat counters rather than per-cycle handshakes)
 ride through one; the kernel tracer sees it through its ``leap`` hook.
 The VCD writer, assertion probes and every other probe or condition
@@ -182,7 +190,7 @@ from typing import Iterable, Optional
 from .signal import Wire
 
 #: Burst horizon of a component that puts no bound of its own on a
-#: steady burst (see "Steady bursts" above).
+#: steady stream (see "Steady streams" above).
 UNBOUNDED = sys.maxsize
 
 
@@ -277,9 +285,9 @@ class Component:
     def outputs(self) -> Optional[Iterable[Wire]]:
         """Wires this component may write during :meth:`drive`.
 
-        Purely declarative: the kernel records declared writers for
-        debugging (see ``Simulator.wire_writers``).  ``None`` means
-        undeclared.
+        Purely declarative: the kernel records, per wire, whether every
+        declared writer can post a stream (see :meth:`_upstream_first`).
+        ``None`` means undeclared.
         """
         return None
 
@@ -373,29 +381,31 @@ class Component:
         self._wake_cycle = None
 
     def burst_horizon(self) -> int:
-        """Steady cycles ahead of a running W burst, starting now.
+        """Steady cycles ahead of a running beat stream, starting now.
 
-        See "Steady bursts" in the module docstring.  The default (0)
-        never lets a burst leap cross this component while it is awake.
+        See "Steady streams" in the module docstring.  The default (0)
+        never lets a stream leap cross this component while it is awake.
         """
         return 0
 
     def burst_wires(self) -> Iterable[Wire]:
-        """Wires this component drives that change across a burst leap."""
+        """Wires this component drives that change across a stream leap."""
         return ()
 
     def advance(self, cycles: int) -> None:
         """Apply *cycles* steady updates at once (see :meth:`burst_horizon`)."""
 
     def _upstream_first(self, wire: Wire) -> bool:
-        """Whether every declared writer of *wire* advances before us.
+        """Whether the stream on *wire* can be advanced before us.
 
-        A forwarder or sink reads the burst its upstream posted during
-        the same leap, so the upstream must come first in registration
-        order; an undeclared writer cannot be checked and fails.
+        A forwarder or sink takes the payloads its upstream posted
+        during the same leap, so every declared writer of *wire* must
+        have burst hooks (itself, or the parent that registered it);
+        the kernel then advances it first.  An undeclared writer cannot
+        be checked and fails.  Answered from the simulator's
+        registration records.
         """
-        writers = self._sim.wire_writers(wire)
-        return bool(writers) and all(w._order < self._order for w in writers)
+        return self._sim._stream_fed.get(id(wire), False)
 
     def drive(self) -> None:
         """Combinational phase: compute outputs from inputs + state."""

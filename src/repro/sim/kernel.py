@@ -42,31 +42,34 @@ declare ``leap_aware = True``; a leap-aware probe may also implement
 ``Simulator(time_leaping=False)`` disables the fast-forward for A/B
 ablations while keeping the wake heap as a plain re-arm mechanism.
 
-Steady bursts
--------------
+Steady streams
+--------------
 
-The same jump covers busy spans whose only activity is one running W
-burst (the contract is spelled out under "Steady bursts" in
-:mod:`repro.sim.component`).  Between cycles, when the live updater set
-is not empty, every awake updater reports a *horizon* — how many
-upcoming cycles are steady mid-burst beats for it.  When all report at
-least 2, every pending drive belongs to the burst, and no other
-component reads the wires the burst changes, the kernel takes
+The same jump covers busy spans whose only handshakes are steady data
+beat streams — W bursts, interleaved R bursts — while every other
+channel holds its level (the contract is spelled out under "Steady
+streams" in :mod:`repro.sim.component`).  Between cycles, when the
+live updater set is not empty, every awake updater reports a *horizon*
+— how many upcoming cycles are steady stream beats for it.  When all
+report at least 2, every pending drive belongs to the stream, and no
+other component reads the wires the stream changes, the kernel takes
 ``k = min(horizons, next_wake - cycle, target - cycle - 1)``, calls
-each burst component's ``advance(k)`` in registration order, jumps the
-clock ``k`` cycles through the same :meth:`Simulator._leap_to` the idle
-leap uses (so the span counts in ``leaps`` / ``cycles_leaped`` and
-reaches the tracer's ``leap`` hook and the probes' ``on_leap``), and
-then steps the next cycle normally, re-settling every wire.  Horizons
-stop before the burst's last beat, a counter expiry or an armed fault
-trigger, so every handshake edge the figures measure is still stepped.
+each stream component's ``advance(k)`` upstream first (the writers of
+every stream wire before its readers, the sinks last), jumps the clock
+``k`` cycles through the same :meth:`Simulator._leap_to` the idle leap
+uses (so the span counts in ``leaps`` / ``cycles_leaped`` and reaches
+the tracer's ``leap`` hook and the probes' ``on_leap``), and then steps
+the next cycle normally, re-settling every wire.  Horizons stop before
+a monitored transaction's first or last beat, a response or a read
+head maturing, a counter expiry or an armed fault trigger, so every
+handshake edge the figures measure is still stepped.
 
-A burst moves wires, so it needs more consent than an idle leap: every
+A stream moves wires, so it needs more consent than an idle leap: every
 registered probe must declare ``burst_aware = True`` and, in
 :meth:`Simulator.run_until`, so must the condition — a pure observer
 that reads counters rather than per-cycle handshakes.  Everything else
 (the VCD writer, assertion probes, plain conditions) pins the clock to
-per-cycle stepping through bursts while still riding idle leaps.  The
+per-cycle stepping through streams while still riding idle leaps.  The
 ``verify`` strategy and ``time_leaping=False`` never burst-leap and
 serve as the reference.
 
@@ -102,9 +105,10 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import operator
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .component import Component
 from .signal import _ACTIVE_READER, Wire
@@ -113,6 +117,14 @@ from .signal import _ACTIVE_READER, Wire
 STRATEGIES = ("dirty", "exhaustive", "verify")
 
 _BY_ORDER = operator.attrgetter("_order")
+
+#: What :meth:`Simulator._burst_span` answers when no stream leap fits.
+_NO_LEAP: Tuple[int, Sequence[Component]] = (0, ())
+
+
+def _posts_streams(component: Optional[Component]) -> bool:
+    """Whether *component* has burst hooks (overrides ``advance``)."""
+    return component is not None and type(component).advance is not Component.advance
 
 
 class SettleError(RuntimeError):
@@ -201,8 +213,10 @@ class Simulator:
         #: recorded in _update_queue_key holds.
         self._update_queue: List[Component] = []
         self._update_queue_key: Optional[set] = None
-        #: Declared writers per wire id, from Component.outputs().
-        self._declared_writers: Dict[int, List[Component]] = {}
+        #: Per wire id, from Component.outputs(): whether every declared
+        #: writer can post a stream (it, or the parent that registered
+        #: it, has burst hooks).
+        self._stream_fed: Dict[int, bool] = {}
         #: Flat wire list for the verify settle check; None until built.
         self._verify_wires: Optional[List[Wire]] = None
         #: Wires that changed since the end of the last step's probes;
@@ -257,8 +271,10 @@ class Simulator:
 
         outputs = component.outputs()
         if outputs is not None:
+            posts = _posts_streams(component) or _posts_streams(component._parent)
             for wire in outputs:
-                self._declared_writers.setdefault(id(wire), []).append(component)
+                key = id(wire)
+                self._stream_fed[key] = self._stream_fed.get(key, True) and posts
 
         # Like the wires, a component invalidates the worklist of the
         # simulator it was most recently registered with — or none, when
@@ -370,19 +386,14 @@ class Simulator:
         for live in shared:
             memo[id(live)].update(copy.deepcopy(item, memo) for item in live)
         clone._wires = {id(wire): wire for wire in clone._wires.values()}
-        clone._declared_writers = {
-            id(memo[key]): writers
-            for key, writers in clone._declared_writers.items()
+        clone._stream_fed = {
+            id(memo[key]): fed for key, fed in clone._stream_fed.items()
         }
         return clone
 
     @property
     def wires(self) -> List[Wire]:
         return list(self._wires.values())
-
-    def wire_writers(self, wire: Wire) -> List[Component]:
-        """Components that declared *wire* in their ``outputs()`` (debug aid)."""
-        return list(self._declared_writers.get(id(wire), ()))
 
     # ------------------------------------------------------------------
     # Timed wakes
@@ -454,52 +465,91 @@ class Simulator:
         docstring); only consulted when :meth:`_leap_ready` holds."""
         return all(getattr(probe, "burst_aware", False) for probe in self._probes)
 
-    def _burst_span(self, target: int) -> int:
-        """Cycles the live updater set can burst-leap now, or 0.
+    def _burst_span(self, target: int) -> Tuple[int, Sequence[Component]]:
+        """Cycles the live updater set can stream-leap now (or 0), and
+        the order its components advance in.
 
-        Every awake updater must report a steady-burst horizon of at
+        Every awake updater must report a steady-stream horizon of at
         least 2; the span is further bounded by the next timed wake and
         stops one cycle short of *target*, so the run's last cycle is
-        always stepped.  Pending drives and the readers of every burst
-        wire must all belong to the burst: an awake updater, or a child
-        of one.
+        always stepped.  Pending drives must all belong to the stream:
+        an awake updater, or a child of one (see :meth:`_stream_order`
+        for the readers of the stream wires).
         """
         awake = self._update_pending
         span = target - self.cycle - 1
         if span < 2:
-            return 0
+            return _NO_LEAP
         for component in awake:
             horizon = component.burst_horizon()
             if horizon < span:
                 span = horizon
                 if span < 2:
-                    return 0
+                    return _NO_LEAP
         nxt = self._next_wake()
         if nxt is not None and nxt - self.cycle < span:
             span = nxt - self.cycle
             if span < 2:
-                return 0
+                return _NO_LEAP
         for component in self._pending:
             if component not in awake and component._parent not in awake:
-                return 0
-        for component in awake:
-            for wire in component.burst_wires():
-                if not wire.update_readers <= awake:
-                    return 0
-                for reader in wire.readers:
-                    if reader not in awake and reader._parent not in awake:
-                        return 0
-        return span
+                return _NO_LEAP
+        order = self._stream_order(awake)
+        if order is None:
+            return _NO_LEAP
+        return span, order
 
-    def _burst_leap(self, span: int) -> None:
-        """Advance every awake updater *span* steady cycles, then jump."""
-        for component in sorted(self._update_pending, key=_BY_ORDER):
+    @staticmethod
+    def _stream_order(awake: set) -> Optional[List[Component]]:
+        """The awake updaters in the order their ``advance`` runs.
+
+        Each wire a component's advance changes (its ``burst_wires``)
+        carries a stream its readers take, so every drive and update
+        reader of it must be an awake updater, or a child of one, and
+        advances after it; components changing no wire (the sinks) come
+        last, and ties keep registration order.  ``None`` when a reader
+        lies outside the stream (an update reader must itself be awake)
+        or the streams form a cycle.
+        """
+        follows: Dict[Component, set] = {}
+        writers: List[Component] = []
+        sinks: List[Component] = []
+        for component in awake:
+            wires = component.burst_wires()
+            (writers if wires else sinks).append(component)
+            for wire in wires:
+                if not wire.update_readers <= awake:
+                    return None
+                for reader in itertools.chain(wire.readers, wire.update_readers):
+                    if reader not in awake:
+                        reader = reader._parent
+                        if reader not in awake:
+                            return None
+                    if reader is not component:
+                        follows.setdefault(reader, set()).add(component)
+        order: List[Component] = []
+        writers.sort(key=_BY_ORDER)
+        while writers:
+            for component in writers:
+                upstream = follows.get(component)
+                if upstream is None or upstream.issubset(order):
+                    break
+            else:
+                return None
+            writers.remove(component)
+            order.append(component)
+        sinks.sort(key=_BY_ORDER)
+        return order + sinks
+
+    def _burst_leap(self, span: int, order: Sequence[Component]) -> None:
+        """Advance the stream components *span* steady cycles, then jump."""
+        for component in order:
             component.advance(span)
         self._leap_to(self.cycle + span)
 
     def _leap_to(self, cycle: int) -> None:
         """Jump the clock to *cycle* across a provably inert span, or
-        across a steady burst whose components have already advanced."""
+        across a steady stream whose components have already advanced."""
         start = self.cycle
         self.cycle = cycle
         self.leaps += 1
@@ -893,7 +943,7 @@ class Simulator:
         With time leaping active, spans where nothing can happen — no
         pending drives, empty live updater set, only timed wakes ahead —
         are crossed in one jump to ``min(next_wake, target)`` instead of
-        being ticked through, and so are steady bursts whose probes all
+        being ticked through, and so are steady streams whose probes all
         consent; the observable end state is identical.
         """
         target = self.cycle + cycles
@@ -913,9 +963,9 @@ class Simulator:
                     self._leap_to(dest)
                     continue
             elif bursts and self._update_pending:
-                span = self._burst_span(target)
+                span, order = self._burst_span(target)
                 if span:
-                    self._burst_leap(span)
+                    self._burst_leap(span, order)
             step()
 
     def run_until(
@@ -934,11 +984,11 @@ class Simulator:
         jump when it already holds) and not re-evaluated inside the
         span.  Conditions keyed on wall-clock cycle counts alone should
         run with ``time_leaping=False``.  A condition that declares
-        ``burst_aware = True`` promises the same across a steady burst —
-        it cannot turn true inside one, and only reads state the burst
+        ``burst_aware = True`` promises the same across a steady stream —
+        it cannot turn true inside one, and only reads state the stream
         components keep exact (beat counters, not per-cycle handshakes)
         — and lets the kernel burst-leap under it; it is likewise
-        consulted once before each burst and after the stepped cycle
+        consulted once before each stream leap and after the stepped cycle
         that closes it.
         """
         target = self.cycle + timeout
@@ -969,9 +1019,9 @@ class Simulator:
                     self._leap_to(dest)
                     continue
             elif bursts and self._update_pending:
-                span = self._burst_span(target)
+                span, order = self._burst_span(target)
                 if span and not condition(self):
-                    self._burst_leap(span)
+                    self._burst_leap(span, order)
             step()
             if condition(self):
                 return self.cycle

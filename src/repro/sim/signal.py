@@ -118,8 +118,8 @@ class Channel:
       job, not the channel's;
     * ``ready`` may be asserted combinationally in response to ``valid``.
 
-    ``burst`` carries a steady burst's payloads across a kernel burst
-    leap (see "Steady bursts" in :mod:`repro.sim.component`): the
+    ``burst`` carries a steady stream's payloads across a kernel stream
+    leap (see "Steady streams" in :mod:`repro.sim.component`): the
     source's ``advance(k)`` posts the *k* beats it would have driven,
     each forwarder hands them on to its downstream channel, and the
     sink takes them, leaving ``None`` behind.

@@ -94,9 +94,14 @@ class EthernetMac(Subordinate):
         self._tx_buffered += 1
 
     def advance(self, cycles: int) -> None:
-        # Each steady beat buffers one TX beat and drains line_rate, in
-        # that order, exactly as the per-cycle update does.
+        # Each steady W beat buffers one TX beat and drains line_rate,
+        # in that order, exactly as the per-cycle update does; across an
+        # R stream the drain alone runs, and the next update resyncs it.
+        w = self.bus.w
+        w_stream = w.valid._value and w.ready._value
         super().advance(cycles)
+        if not w_stream:
+            return
         sim = self._sim
         self._sync_tx(sim.cycle)
         buffered = self._tx_buffered

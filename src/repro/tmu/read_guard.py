@@ -169,6 +169,17 @@ class ReadGuard(GuardBase):
         elif head.state == ReadPhase.R_DATA and fired:
             self._count_r_beat(head, beat, cycle, events)
 
+    def count_stream(self, beats) -> None:
+        """Count a stream leap's R beats into their IDs' heads.
+
+        Each is a mid-burst OKAY beat of a transaction already in its
+        data phase, for which :meth:`observe` only bumps ``beats_seen``;
+        the span's counter edges are :meth:`catch_up`'s.
+        """
+        head_of = self.ott.head_of
+        for beat in beats:
+            head_of(beat.id).beats_seen += 1
+
     def _count_r_beat(self, head: LdEntry, beat, cycle, events) -> None:
         head.beats_seen += 1
         if beat.resp.is_error and self._edge(f"r_err_{head.index}", True):

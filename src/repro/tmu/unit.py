@@ -140,11 +140,6 @@ class TransactionMonitoringUnit(Component):
             getattr(bus, ch) for bus in (host, device) for ch in _CHANNELS
         ]
         self._watch_valids = [ch.valid for ch in self._watch_channels]
-        # Every channel but W, whose valids must stay low through a
-        # steady burst.
-        self._non_w_valids = [
-            ch.valid for ch in self._watch_channels if ch not in (host.w, device.w)
-        ]
 
         #: interrupt request to the platform interrupt controller.
         self.irq = Wire(f"{name}.irq", False)
@@ -259,24 +254,38 @@ class TransactionMonitoringUnit(Component):
         return True
 
     def burst_horizon(self) -> int:
-        # Steady while a host-side W beat fired last settle and every
-        # other channel on both sides is idle.  Monitoring, the beats
-        # pass through to a data phase that counts them and stop short
-        # of its last beat and of the guards' next counter expiry;
-        # recovering, they are drained with nothing to commit until
-        # the last beat or a reset-handshake step.
-        host = self.host
-        if (
-            not self.config.enabled
-            or not (host.w.valid._value and host.w.ready._value)
-            or self.cycle != self._sim.cycle
-            or not self._upstream_first(host.w.payload)
-        ):
+        # Steady while exactly one stream fired last settle — W from the
+        # host, or R from the device — and no other channel on either
+        # side did: an idle or stalled channel is observed again
+        # unchanged, which moves nothing but the guards' counters.
+        # Monitoring, W beats pass through to a data phase that counts
+        # them and stop short of its last beat; R beats pass through and
+        # are counted into their IDs' heads (the source keeps every
+        # transaction's first and last beat stepped), or, carrying an ID
+        # nobody requested, are sunk here after the first one logged it;
+        # both stop before the guards' next counter expiry.  Recovering,
+        # W beats are drained with nothing to commit until the last beat
+        # or a reset-handshake step.
+        host, device = self.host, self.device
+        if not self.config.enabled or self.cycle != self._sim.cycle:
             return 0
-        for valid in self._non_w_valids:
-            if valid._value:
+        w_stream = host.w.valid._value and host.w.ready._value
+        r_stream = device.r.valid._value and device.r.ready._value
+        if w_stream == r_stream:
+            return 0
+        recovering = self.state is TmuState.RECOVER
+        if w_stream:
+            stream = (host.w,) if recovering else (host.w, device.w)
+        elif recovering:
+            return 0
+        elif host.r.valid._value:
+            stream = (device.r, host.r)
+        else:
+            stream = (device.r,)
+        for ch in self._watch_channels:
+            if ch.valid._value and ch.ready._value and ch not in stream:
                 return 0
-        if self.state is TmuState.RECOVER:
+        if recovering:
             if self._abort_b or self._abort_r:
                 return 0
             if self._req_state:
@@ -285,12 +294,27 @@ class TransactionMonitoringUnit(Component):
             elif self._ack_seen and self._w_drain_remaining == 0:
                 return 0
             return UNBOUNDED
-        target = self.write_guard.ott.ei_front()
-        if target is None or target.timeout:
+        if w_stream:
+            target = self.write_guard.ott.ei_front()
+            if (
+                target is None
+                or target.timeout
+                or not target.beats_seen
+                or not self._upstream_first(host.w.payload)
+            ):
+                return 0
+            if not self.write_guard.tiny and target.state != WritePhase.W_DATA:
+                return 0
+            horizon = target.beats - 1 - target.beats_seen
+        elif not self._upstream_first(device.r.payload) or any(
+            # Counted past its length (a dropped r_last): every further
+            # beat for its ID logs a violation.
+            entry.beats_seen >= entry.beats
+            for entry in self.read_guard.ott.live_entries()
+        ):
             return 0
-        if not self.write_guard.tiny and target.state != WritePhase.W_DATA:
-            return 0
-        horizon = target.beats - 1 - target.beats_seen
+        else:
+            horizon = UNBOUNDED
         for guard in (self.write_guard, self.read_guard):
             stamp = guard.next_timeout_stamp(self.cycle)
             if stamp is not None:
@@ -300,7 +324,11 @@ class TransactionMonitoringUnit(Component):
     def burst_wires(self):
         if self.state is TmuState.RECOVER:
             return ()
-        return (self.device.w.payload,)
+        if self.host.w.valid._value and self.host.w.ready._value:
+            return (self.device.w.payload,)
+        if self.host.r.valid._value:
+            return (self.host.r.payload,)
+        return ()
 
     def advance(self, cycles: int) -> None:
         host, device = self.host, self.device
@@ -308,10 +336,17 @@ class TransactionMonitoringUnit(Component):
         if self.state is TmuState.RECOVER:
             host.w.burst = None  # drained
             return
-        device.w.burst, host.w.burst = host.w.burst, None
         self.write_guard.catch_up(cycles)
         self.read_guard.catch_up(cycles)
-        self.write_guard.ott.ei_front().beats_seen += cycles
+        if host.w.valid._value and host.w.ready._value:
+            device.w.burst, host.w.burst = host.w.burst, None
+            self.write_guard.ott.ei_front().beats_seen += cycles
+        else:
+            beats, device.r.burst = device.r.burst, None
+            if host.r.valid._value:  # forwarded, not sunk
+                orig_of = self.remap_r.orig_of
+                host.r.burst = [remap_id(beat, orig_of(beat.id)) for beat in beats]
+                self.read_guard.count_stream(beats)
 
     def snapshot_state(self):
         return (

@@ -230,7 +230,7 @@ def test_reset_soc_equals_fresh_build(variant):
 
 
 # ----------------------------------------------------------------------
-# A steady-burst leap leaves the state stepping leaves
+# A stream leap leaves the state stepping leaves
 # ----------------------------------------------------------------------
 class _SpanLog:
     """Burst-aware probe recording every leap's span."""

@@ -7,8 +7,9 @@ Two pillars:
   this is what makes a leaped stall detect at the exact same cycle;
 * randomized IP-level and system-level fault campaigns must produce
   identical results (detection cycle, fault classification, recovery)
-  with time leaping on, off, and under ``strategy="verify"`` — the
-  system runs exercising steady-burst leaps across the Ethernet frame.
+  with time leaping on, off, and under ``strategy="verify"`` — the IP
+  runs exercising stream leaps across W bursts and interleaved R
+  streams, the system runs across the Ethernet frame.
 """
 
 import dataclasses
@@ -70,20 +71,6 @@ def test_catch_up_matches_tick_by_tick(budget, step, phase, span, sticky):
     assert jumped_c._accum == ticked_c._accum
 
 
-# Stall-producing stages cover the countdown paths; handshake faults
-# cover the event-driven ones.
-stages = st.sampled_from(
-    [
-        InjectionStage.AW_READY_MISSING,
-        InjectionStage.W_VALID_MISSING,
-        InjectionStage.W_READY_MISSING,
-        InjectionStage.WLAST_TO_BVALID,
-        InjectionStage.B_READY_MISSING,
-        InjectionStage.R_VALID_MISSING,
-    ]
-)
-
-
 def _config(variant, prescale_step):
     return TmuConfig(
         variant=variant,
@@ -98,17 +85,27 @@ def _config(variant, prescale_step):
 
 
 @given(
-    stages,
+    st.sampled_from(list(InjectionStage)),
     st.sampled_from([Variant.FULL, Variant.TINY]),
     st.sampled_from([1, 2, 4]),
     st.integers(0, 5),
-    st.integers(1, 6),
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.integers(0, 4),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_random_injection_identical_across_leap_modes(
-    stage, variant, prescale_step, seed, beats
+    stage, variant, prescale_step, seed, beats, size, outstanding, reorder_depth
 ):
-    """One random Fig. 9-style injection: leap on == leap off == verify."""
+    """One random IP injection: leap on == leap off == verify == exhaustive.
+
+    Every stage over the dark-corner axes — narrow beats, up to eight
+    outstanding transactions over four IDs, a response reorder window —
+    so steady W bursts behind parked or stalled B responses and
+    round-robin R streams are leaped, bounded by their faults' beat
+    triggers, the TMU's budget expiries and the recovery drain.
+    """
     config = _config(variant, prescale_step)
 
     def run(**harness_kwargs):
@@ -120,6 +117,9 @@ def test_random_injection_identical_across_leap_modes(
             recovery_timeout=1_500,
             harness_kwargs=harness_kwargs or None,
             issue_delay=seed,
+            size=size,
+            outstanding=outstanding,
+            reorder_depth=reorder_depth,
         )
         payload = dataclasses.asdict(result)
         # Scheduler diagnostics, not measurements: leap counts differ
@@ -134,7 +134,7 @@ def test_random_injection_identical_across_leap_modes(
 
 
 # ----------------------------------------------------------------------
-# System level: steady-burst leaps through the Cheshire SoC
+# System level: stream leaps through the Cheshire SoC
 # ----------------------------------------------------------------------
 system_stages = st.sampled_from(
     [
