@@ -1,14 +1,12 @@
 """Sharded campaign orchestration — scaling harness (not in the paper).
 
 Runs the Fig. 11 system sweep (both variants × six write stages ×
-phase-offset seeds) through the orchestration engine — serial, across a
-4-process pool, and through the distributed TCP coordinator with
-loopback workers — verifies the result lists are *identical*, and
-reports the wall-clock for each.  The speedup column is the
+phase-offset seeds) through the orchestration engine — serial and
+across a 4-process pool — verifies the result lists are *identical*,
+and reports the wall-clock for each.  The speedup column is the
 thousands-of-runs scaling story of `repro.orchestrate`; on single-core
-CI runners the parallel paths can only demonstrate correctness (plus
-the distributed row quantifying the wire/lease overhead), so the
-speedup assertion is gated on available cores.
+CI runners the pool can only demonstrate correctness, so the speedup
+assertion is gated on available cores.
 """
 
 import os
@@ -17,7 +15,7 @@ import time
 from conftest import report, run_once
 
 from repro.analysis.report import render_table
-from repro.orchestrate import CampaignSpec, DistributedExecutor, run_campaign_spec
+from repro.orchestrate import CampaignSpec, run_campaign_spec
 from repro.soc.experiment import FIG11_STAGES
 from repro.tmu.config import Variant
 
@@ -40,21 +38,14 @@ def run():
     start = time.perf_counter()
     sharded = run_campaign_spec(spec(), workers=WORKERS)
     timings[f"{WORKERS} workers"] = time.perf_counter() - start
-    start = time.perf_counter()
-    distributed = run_campaign_spec(
-        spec(),
-        executor=DistributedExecutor(local_workers=2, result_timeout=300),
-    )
-    timings["distributed x2"] = time.perf_counter() - start
-    return serial, sharded, distributed, timings
+    return serial, sharded, timings
 
 
 def test_sharded_campaign_identical_and_scales(benchmark):
-    serial, sharded, distributed, timings = run_once(benchmark, run)
+    serial, sharded, timings = run_once(benchmark, run)
 
     assert len(serial) == 2 * len(FIG11_STAGES) * len(SEEDS)
     assert sharded == serial  # determinism: full dataclass equality
-    assert distributed == serial  # ...whatever transport ran the shards
     assert all(r.detected and r.recovered for r in serial)
 
     speedup = timings["serial"] / timings[f"{WORKERS} workers"]
@@ -68,8 +59,7 @@ def test_sharded_campaign_identical_and_scales(benchmark):
     rows.append(["usable cores", usable_cores])
     report(
         f"Campaign sharding: Fig. 11 sweep x {len(SEEDS)} seeds "
-        f"({len(serial)} runs), serial vs {WORKERS}-process pool vs "
-        f"distributed coordinator + 2 loopback workers",
+        f"({len(serial)} runs), serial vs {WORKERS}-process pool",
         render_table(["path", "wall [ms]"], rows),
     )
 

@@ -17,21 +17,12 @@ seed lanes; byte-identical results)::
     python -m repro campaign --kind ip --seeds 64 --batch-lanes 64 \
         --batch-verify --progress
 
-Distributed campaigns (coordinator + any number of pull workers)::
-
-    python -m repro serve --port 7453 --workers 2 --kind system \
-        --store /shared/store --json campaign.json
-    python -m repro worker --connect 10.0.0.5:7453        # on any machine
-    python -m repro campaign --distributed --local-workers 2 --kind ip
-    python -m repro fig11 --distributed --local-workers 2
-
 Run-granular result store (incremental reuse across overlapping
 sweeps: a superset campaign simulates only its frontier; to resume a
 killed campaign, run the same command again with the same --store)::
 
     python -m repro campaign --kind system --seeds 4 --store /shared/store
     python -m repro campaign --kind system --seeds 8 --store /shared/store
-    python -m repro worker --connect 10.0.0.5:7453 --store /shared/store
     python -m repro store stats /shared/store
 
 Telemetry (all opt-in; never changes a result)::
@@ -39,7 +30,6 @@ Telemetry (all opt-in; never changes a result)::
     python -m repro inject --stage wlast_bvalid_error --trace trace.json
     python -m repro campaign --kind ip --telemetry telemetry.json
     python -m repro report --telemetry telemetry.json
-    python -m repro status --connect 10.0.0.5:7453        # fleet health
     python -m repro --log-level info campaign --kind ip --progress
 """
 
@@ -47,8 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 from typing import List, Optional
 
@@ -64,17 +52,8 @@ from .faults.campaign import (
     run_injection,
 )
 from .faults.types import FIG9_WRITE_STAGES, InjectionStage
-from .orchestrate import CampaignSpec, make_executor, run_campaign_spec
-from .orchestrate.distributed import (
-    DEFAULT_CONNECT_RETRY,
-    DEFAULT_LEASE_TIMEOUT,
-    DistributedExecutor,
-    default_worker_id,
-    request_status,
-    worker_loop,
-)
-from .orchestrate.remote import ProtocolError
-from .orchestrate.executor import START_METHOD_ENV
+from .orchestrate import CampaignSpec, default_workers, run_campaign_spec
+from .orchestrate.executor import WORKERS_ENV
 from .soc.experiment import FIG11_LABELS, FIG11_STAGES, run_fig11
 from .telemetry import (
     KernelTracer,
@@ -124,37 +103,25 @@ def _stage(value: str) -> InjectionStage:
         )
 
 
-def _hostport(value: str):
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    return (host or "127.0.0.1", int(port))
+def _batch_workers_conflict(args) -> bool:
+    """Report --batch-lanes with more than one worker as a usage error.
 
-
-def _distributed_executor(args) -> Optional[DistributedExecutor]:
-    """Build (and announce) the coordinator when --distributed is set."""
-    if not getattr(args, "distributed", False):
-        return None
-    executor = make_executor(
-        1,
-        distributed={
-            "host": args.bind,
-            "port": args.port,
-            "local_workers": args.local_workers,
-            "lease_timeout": args.lease_timeout,
-            "store_dir": getattr(args, "store", None),
-        },
-    )
-    host, port = executor.bind()
+    Lockstep packs are planned over the whole pending run set in one
+    process, so the batch executor cannot share a campaign with a
+    worker pool.  The worker count is the resolved one: ``--workers``,
+    else ``REPRO_WORKERS``.
+    """
+    if args.batch_lanes is None:
+        return False
+    workers = args.workers if args.workers is not None else default_workers()
+    if workers <= 1:
+        return False
     print(
-        f"coordinator listening on {host}:{port} "
-        f"({args.local_workers} local worker(s); join with: "
-        f"repro worker --connect {host}:{port})",
+        f"repro {args.command}: error: --batch-lanes needs one worker, got "
+        f"{workers} (--workers or {WORKERS_ENV})",
         file=sys.stderr,
     )
-    return executor
+    return True
 
 
 def cmd_area(args) -> int:
@@ -310,15 +277,11 @@ def cmd_fig8(args) -> int:
 def cmd_fig11(args) -> int:
     seeds = tuple(range(args.seeds))
     axes = _dark_corner_kwargs(args)
-    executor = _distributed_executor(args)
-    if args.batch_lanes is not None and executor is not None:
-        print("--batch-lanes cannot be combined with --distributed",
-              file=sys.stderr)
+    if _batch_workers_conflict(args):
         return 2
     metrics = MetricsRegistry() if args.telemetry else None
     series = run_fig11(
         workers=args.workers,
-        executor=executor,
         seeds=seeds,
         batch_lanes=args.batch_lanes,
         batch_verify=args.batch_verify,
@@ -372,24 +335,18 @@ def _campaign_spec(args) -> CampaignSpec:
     )
 
 
-def cmd_campaign(args, executor=None) -> int:
-    spec = _campaign_spec(args)
-    if executor is None:
-        executor = _distributed_executor(args)
-    batch_lanes = getattr(args, "batch_lanes", None)
-    if batch_lanes is not None and executor is not None:
-        print("--batch-lanes cannot be combined with --distributed",
-              file=sys.stderr)
+def cmd_campaign(args) -> int:
+    if _batch_workers_conflict(args):
         return 2
+    spec = _campaign_spec(args)
     metrics = MetricsRegistry() if args.telemetry else None
     results = run_campaign_spec(
         spec,
-        workers=getattr(args, "workers", None),
+        workers=args.workers,
         shard_size=args.shard_size,
         progress=args.progress,
-        executor=executor,
-        batch_lanes=batch_lanes,
-        batch_verify=getattr(args, "batch_verify", False),
+        batch_lanes=args.batch_lanes,
+        batch_verify=args.batch_verify,
         metrics=metrics,
         store=args.store,
     )
@@ -426,80 +383,6 @@ def cmd_campaign(args, executor=None) -> int:
             write_campaign_json(results, stream, spec=spec)
         print(f"wrote {args.json_out}")
     return 0 if detected == recovered == len(results) else 1
-
-
-def cmd_serve(args) -> int:
-    """Coordinator: serve the campaign's shards to pull workers."""
-    executor = DistributedExecutor(
-        host=args.bind,
-        port=args.port,
-        local_workers=args.local_workers,
-        lease_timeout=args.lease_timeout,
-        store_dir=args.store,
-    )
-    host, port = executor.bind()
-    print(
-        f"serving shards on {host}:{port} "
-        f"({args.local_workers} local worker(s); join with: "
-        f"repro worker --connect {host}:{port})",
-        file=sys.stderr,
-    )
-    return cmd_campaign(args, executor=executor)
-
-
-def _worker_process(
-    host, port, worker_id, retry_seconds, log_level, log_json, store=None
-):
-    """Spawned worker entry point (module-level, so it pickles).
-
-    Spawn-start children inherit no logging configuration from the
-    parent, so each one re-applies ``--log-level/--log-json`` before
-    pulling shards; :func:`worker_loop` then tags every record with the
-    worker id, keeping interleaved multi-process output attributable.
-    """
-    if log_level or log_json:
-        setup_logging(log_level or "warning", json_lines=log_json)
-    worker_loop(
-        host, port, worker_id=worker_id, retry_seconds=retry_seconds,
-        store=store,
-    )
-
-
-def cmd_worker(args) -> int:
-    """Worker: pull shards from a coordinator until it says done."""
-    host, port = args.connect
-    if args.processes > 1:
-        method = os.environ.get(START_METHOD_ENV, "").strip() or None
-        context = multiprocessing.get_context(method)
-        processes = [
-            context.Process(
-                target=_worker_process,
-                args=(
-                    host,
-                    port,
-                    f"{default_worker_id()}-{index}",
-                    args.retry,
-                    args.log_level,
-                    args.log_json,
-                    args.store,
-                ),
-            )
-            for index in range(args.processes)
-        ]
-        for process in processes:
-            process.start()
-        for process in processes:
-            process.join()
-        return 0 if all(process.exitcode == 0 for process in processes) else 1
-    try:
-        executed = worker_loop(
-            host, port, retry_seconds=args.retry, store=args.store
-        )
-    except (OSError, ProtocolError) as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 1
-    print(f"worker {default_worker_id()}: executed {executed} shard(s)")
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -546,86 +429,6 @@ def cmd_report(args) -> int:
         )
     if not (counters or gauges or histograms):
         print("telemetry file carries no metrics")
-    return 0
-
-
-def _format_event(event: dict) -> str:
-    """One event-log entry as a ``+t event key=value ...`` line."""
-    fields = " ".join(
-        f"{key}={value}"
-        for key, value in event.items()
-        if key not in ("t", "event")
-    )
-    line = f"+{event.get('t', 0.0):>9.3f}s  {event.get('event', '?')}"
-    return f"{line}  {fields}" if fields else line
-
-
-def cmd_status(args) -> int:
-    """Poll a live coordinator for its fleet-health snapshot."""
-    host, port = args.connect
-    try:
-        status = request_status(host, port, timeout=args.timeout)
-    except (OSError, ProtocolError) as exc:
-        print(f"status error: {exc}", file=sys.stderr)
-        return 1
-    if args.json_output:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    workers = status.get("workers", {})
-    print(
-        f"coordinator {host}:{port}: "
-        f"{status.get('connected_workers', 0)} worker(s) connected"
-    )
-    if workers:
-        rows = [
-            [
-                name,
-                "yes" if info.get("connected") else "no",
-                info.get("shards_completed", 0),
-                f"{info.get('last_seen_ago_seconds', 0.0):.1f}s",
-                (
-                    f"{info['heartbeat_gap_seconds']:.1f}s"
-                    if info.get("heartbeat_gap_seconds") is not None
-                    else "--"
-                ),
-            ]
-            for name, info in sorted(workers.items())
-        ]
-        print(
-            render_table(
-                ["worker", "connected", "shards", "last seen", "heartbeat gap"],
-                rows,
-            )
-        )
-    campaign = status.get("campaign")
-    if campaign:
-        print(
-            f"campaign: {campaign.get('completed', 0)}/"
-            f"{campaign.get('total', 0)} shard(s) done | "
-            f"{campaign.get('pending', 0)} pending | "
-            f"{campaign.get('reassignments', 0)} reassignment(s)"
-        )
-        leases = campaign.get("leases", [])
-        if leases:
-            rows = [
-                [
-                    lease.get("shard"),
-                    lease.get("worker"),
-                    f"{lease.get('expires_in', 0.0):.1f}s",
-                    "EXPIRED" if lease.get("expired") else "live",
-                ]
-                for lease in leases
-            ]
-            print(
-                render_table(["shard", "worker", "expires in", "lease"], rows)
-            )
-    else:
-        print("campaign: none active")
-    events = status.get("events", [])
-    if events:
-        print(f"last {len(events)} event(s):")
-        for event in events:
-            print(f"  {_format_event(event)}")
     return 0
 
 
@@ -724,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dark_corner_axes(p_fig11)
     _add_batch_args(p_fig11)
-    _add_distributed_args(p_fig11)
     p_fig11.set_defaults(func=cmd_fig11)
 
     p_table2 = sub.add_parser("table2", help="monitor comparison matrix")
@@ -739,68 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="process count (default: REPRO_WORKERS or 1)",
     )
     _add_batch_args(p_campaign)
-    _add_distributed_args(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="distributed campaign coordinator: serve shards to pull workers",
-        description=(
-            "Run a campaign as the coordinator of a distributed executor: "
-            "shards are served over TCP to any number of repro worker "
-            "processes (plus --workers local loopback ones), leases expire "
-            "and reassign on worker death, and completed runs are committed "
-            "to --store so re-running a killed campaign with the same "
-            "--store executes only the runs it never finished."
-        ),
-    )
-    _add_campaign_axes(p_serve)
-    p_serve.add_argument(
-        "--port", type=int, default=7453,
-        help="TCP port to serve shards on (0 = ephemeral; default 7453)",
-    )
-    p_serve.add_argument(
-        "--bind", default="127.0.0.1",
-        help="bind address (default loopback; 0.0.0.0 admits LAN workers)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=0, dest="local_workers",
-        help="loopback worker processes to spawn alongside the coordinator",
-    )
-    p_serve.add_argument(
-        "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
-        help="seconds before an unanswered shard lease is reassigned",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="distributed campaign worker: pull and execute shards",
-        description=(
-            "Connect to a repro serve / --distributed coordinator, pull "
-            "shards, execute them with the same per-run harness "
-            "construction as every other executor, and stream the results "
-            "back until the coordinator says done."
-        ),
-    )
-    p_worker.add_argument(
-        "--connect", type=_hostport, required=True, metavar="HOST:PORT",
-        help="coordinator address",
-    )
-    p_worker.add_argument(
-        "--processes", type=_positive_int, default=1,
-        help="parallel worker processes to run (default 1)",
-    )
-    p_worker.add_argument(
-        "--retry", type=float, default=DEFAULT_CONNECT_RETRY,
-        help="seconds to keep retrying the initial connection",
-    )
-    p_worker.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="shared result store: look up each assigned run before "
-        "simulating it and publish results for other workers",
-    )
-    p_worker.set_defaults(func=cmd_worker)
 
     p_store = sub.add_parser(
         "store",
@@ -835,35 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.set_defaults(func=cmd_report)
 
-    p_status = sub.add_parser(
-        "status",
-        help="poll a live coordinator's fleet health",
-        description=(
-            "Open a one-shot status connection to a repro serve / "
-            "--distributed coordinator and render its fleet snapshot: "
-            "connected workers, shard leases (including expired ones "
-            "awaiting reassignment) and the recent event log."
-        ),
-    )
-    p_status.add_argument(
-        "--connect", type=_hostport, required=True, metavar="HOST:PORT",
-        help="coordinator address",
-    )
-    p_status.add_argument(
-        "--timeout", type=float, default=5.0,
-        help="seconds to wait for the coordinator's reply",
-    )
-    p_status.add_argument(
-        "--json", dest="json_output", action="store_true",
-        help="print the raw snapshot as JSON instead of tables",
-    )
-    p_status.set_defaults(func=cmd_status)
-
     return parser
 
 
 def _add_campaign_axes(parser: argparse.ArgumentParser) -> None:
-    """The sweep axes and output options shared by campaign and serve."""
+    """The campaign command's sweep axes and output options."""
     parser.add_argument("--kind", choices=("ip", "system"), default="ip")
     parser.add_argument(
         "--variant", type=_variant, action="append", dest="variants",
@@ -946,38 +663,13 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
         "--batch-lanes", type=_positive_int, default=None,
         help="lockstep batch execution: pack up to N same-config seed "
         "lanes and derive followers from one scalar leader run "
-        "(byte-identical results; excludes --distributed/--workers > 1)",
+        "(byte-identical results; needs one worker: excludes --workers or "
+        "REPRO_WORKERS > 1)",
     )
     parser.add_argument(
         "--batch-verify", action="store_true",
         help="with --batch-lanes: replay every derived lane on the "
         "scalar verify kernel and fail loudly on any divergence",
-    )
-
-
-def _add_distributed_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--distributed", action="store_true",
-        help="serve shards over TCP to repro worker processes instead of "
-        "an in-process pool",
-    )
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="coordinator TCP port (0 = ephemeral; implies --distributed "
-        "workers must be told the printed port)",
-    )
-    parser.add_argument(
-        "--bind", default="127.0.0.1",
-        help="coordinator bind address (default loopback; 0.0.0.0 admits "
-        "LAN workers)",
-    )
-    parser.add_argument(
-        "--local-workers", type=int, default=0,
-        help="loopback worker processes the coordinator spawns itself",
-    )
-    parser.add_argument(
-        "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
-        help="seconds before an unanswered shard lease is reassigned",
     )
 
 

@@ -450,7 +450,6 @@ def run_campaign(
     workers: Optional[int] = None,
     shard_size: int = 1,
     progress=None,
-    executor=None,
     batch_lanes: Optional[int] = None,
     batch_verify: bool = False,
     metrics=None,
@@ -462,9 +461,7 @@ def run_campaign(
     """Cross-product campaign over configurations, stages and seeds.
 
     Runs through the orchestration engine (:mod:`repro.orchestrate`):
-    *workers* > 1 shards the sweep across a process pool (*executor*
-    overrides the choice entirely, e.g. with a
-    :class:`~repro.orchestrate.distributed.DistributedExecutor`),
+    *workers* > 1 shards the sweep across a process pool,
     *batch_lanes* routes same-config seed sweeps through the lockstep
     batch executor (:class:`~repro.orchestrate.batch.BatchExecutor`;
     *batch_verify* replays every derived lane on the scalar verify
@@ -504,7 +501,6 @@ def run_campaign(
     except SpecSerializationError:
         if (
             (workers or 1) > 1
-            or executor is not None
             or batch_lanes is not None
             or store is not None
         ):
@@ -550,7 +546,6 @@ def run_campaign(
         workers=workers,
         shard_size=shard_size,
         progress=progress,
-        executor=executor,
         batch_lanes=batch_lanes,
         batch_verify=batch_verify,
         metrics=metrics,

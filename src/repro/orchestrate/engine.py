@@ -63,11 +63,10 @@ def run_campaign_spec(
         pre-built :class:`ProgressReporter`.
     executor:
         A pre-built executor (anything with the ``map(shards)``
-        contract, e.g. a
-        :class:`~repro.orchestrate.distributed.DistributedExecutor`)
-        overriding the *workers*-based choice.  Planning, store reuse
-        and aggregation are identical whichever executor runs the
-        shards.
+        contract, e.g. a :class:`~repro.orchestrate.batch.BatchExecutor`
+        or a test double) overriding the *workers*-based choice.
+        Planning, store reuse and aggregation are identical whichever
+        executor runs the shards.
     batch_lanes:
         When set, runs the pending shards through the lockstep batch
         executor (:class:`~repro.orchestrate.batch.BatchExecutor`) with
@@ -78,7 +77,7 @@ def run_campaign_spec(
         A :class:`~repro.telemetry.MetricsRegistry` collecting campaign
         accounting: run/shard counters, per-tier ``store.*``
         hit/miss/frontier counters, a ``campaign.shard_seconds``
-        histogram of coordinator-observed shard completion spacing, and
+        histogram of engine-observed shard completion spacing, and
         whatever the executor contributes through ``attach_metrics``
         (discovered by ``hasattr``, the same seam as
         ``attach_progress``).  Purely observational — results are

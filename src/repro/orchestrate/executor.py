@@ -53,7 +53,7 @@ def execute_run(run: RunSpec, trace=None):
     The reset invariant — a reset harness equals a fresh build in every
     attribute, object identities aside — is what keeps results
     independent of execution order and of which process (serial loop,
-    pool or distributed worker, batch pack leader) ran which run.
+    pool worker, batch pack leader) ran which run.
     ``tests/faults/test_harness_reuse.py`` proves it structurally after
     every stage, and differentially: random run orders on one reused
     slot give the same ``result_to_dict`` output, scheduler statistics
@@ -128,27 +128,9 @@ def lease_harness(run: RunSpec):
     )
 
 
-def execute_shard(shard: Shard, store=None) -> ShardResult:
-    """Worker entry point: run every injection of one shard, in order.
-
-    *store* (a :class:`~repro.orchestrate.store.ResultStore`) is the
-    worker-side short-circuit: each run is looked up before it is
-    simulated and written back after — so a distributed worker handed a
-    reassigned shard whose original holder already pushed results into
-    the shared store only simulates the genuinely missing runs.  The
-    returned results are identical either way (store hits round-trip
-    the exact result objects).
-    """
-    if store is None:
-        return shard.index, [execute_run(run) for run in shard.runs]
-    results = []
-    for run in shard.runs:
-        result = store.get(run)
-        if result is None:
-            result = execute_run(run)
-            store.put(run, result)
-        results.append(result)
-    return shard.index, results
+def execute_shard(shard: Shard) -> ShardResult:
+    """Worker entry point: run every injection of one shard, in order."""
+    return shard.index, [execute_run(run) for run in shard.runs]
 
 
 class SerialExecutor:
@@ -184,27 +166,17 @@ class WorkerPoolExecutor:
             yield from pool.imap_unordered(execute_shard, shards, chunksize=1)
 
 
-def make_executor(
-    workers: int, distributed=None, batch_lanes=None, batch_verify=False
-):
-    """Pick the executor: serial, process pool, distributed, or batch.
+def make_executor(workers: int, batch_lanes=None, batch_verify=False):
+    """Pick the executor: serial, process pool, or lockstep batch.
 
-    *distributed* selects the distributed executor
-    (:class:`~repro.orchestrate.distributed.DistributedExecutor`): pass
-    a pre-built executor to use it as-is, ``True`` for the defaults, or
-    a kwargs mapping (``host``/``port``/``local_workers``/
-    ``lease_timeout``) to construct one.  *batch_lanes* selects the
-    lockstep batch executor
+    *batch_lanes* selects the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`) with packs of at
     most that many lanes (*batch_verify* adds a scalar verify replay of
     every derived lane).  Otherwise *workers* picks between the
-    in-process executors (1 → serial).  The batch axis is exclusive
-    with the other two: packs are planned over the whole pending run
-    set in one process.
+    in-process executors (1 → serial).  The two axes are exclusive:
+    packs are planned over the whole pending run set in one process.
     """
     if batch_lanes is not None:
-        if distributed is not None and distributed is not False:
-            raise ValueError("batch_lanes cannot be combined with distributed")
         if workers > 1:
             raise ValueError(
                 f"batch_lanes requires workers=1, got workers={workers}"
@@ -212,14 +184,4 @@ def make_executor(
         from .batch import BatchExecutor
 
         return BatchExecutor(batch_lanes, verify=batch_verify)
-    if distributed is not None and distributed is not False:
-        # Imported lazily — distributed.py imports execute_shard from
-        # this module, so a top-level import would cycle.
-        from .distributed import DistributedExecutor
-
-        if isinstance(distributed, DistributedExecutor):
-            return distributed
-        if distributed is True:
-            return DistributedExecutor()
-        return DistributedExecutor(**dict(distributed))
     return SerialExecutor() if workers <= 1 else WorkerPoolExecutor(workers)

@@ -13,13 +13,13 @@ remaining work.  Reporting is
 measurement-only; the engine works identically with ``reporter=None``.
 
 Executors may contribute a live status segment through
-:meth:`ProgressReporter.set_status` — the distributed coordinator uses
-it to show connected workers and lease reassignments::
+:meth:`ProgressReporter.set_status` — the batch executor uses it to
+show its pack accounting::
 
-    campaign: 7/24 runs (29.2%) | elapsed 3.1s | eta 7.6s | 2 worker(s)
+    campaign: 7/24 runs (29.2%) | elapsed 0.1s | eta 0.2s | batch: 1 pack(s) | 1 leader(s) | 6 derived | 0 retired | 0 promoted
 
-Status updates arrive from coordinator threads, so rendering is guarded
-by a lock; everything else stays single-threaded.
+Rendering is guarded by a lock, so a reporter shared between threads
+writes whole status lines.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Canonical JSON forms of campaign inputs and outputs.
 
-The orchestration engine ships work to worker processes and persists
-results in the result store, so every object crossing those boundaries
-needs a faithful, *stable* JSON representation:
+The result store persists campaign results as JSON and keys them by a
+hash of each run's parameters, so both need a faithful, *stable* JSON
+representation:
 
 * :func:`config_to_dict` / :func:`config_from_dict` round-trip a
   :class:`~repro.tmu.config.TmuConfig` including its budget policy.
@@ -14,11 +14,8 @@ needs a faithful, *stable* JSON representation:
   any field, so store hits reproduce the exact objects a live run
   returns (unlike the lossy report-oriented exports in
   :mod:`repro.analysis.export`).
-* :func:`run_to_dict` / :func:`run_from_dict` and :func:`shard_to_dict`
-  / :func:`shard_from_dict` round-trip the work units themselves, so
-  the distributed executor can ship shards to remote workers as the
-  same length-prefixed JSON frames (:mod:`repro.orchestrate.remote`)
-  that carry the results back.
+* :func:`run_param_dict` is the plain-data identity of a run that the
+  store hashes into its key.
 """
 
 from __future__ import annotations
@@ -113,17 +110,8 @@ def config_from_dict(data: Dict[str, Any]) -> TmuConfig:
 
 
 # ----------------------------------------------------------------------
-# Work units (RunSpec / Shard) — shipped to remote workers
+# Run parameters — the result store's key material
 # ----------------------------------------------------------------------
-def run_to_dict(run) -> Dict[str, Any]:
-    """Canonical, JSON-ready dict of a :class:`~.spec.RunSpec`."""
-    payload = dataclasses.asdict(run)
-    # Tuples flatten to lists under JSON; normalize here so encoded and
-    # decoded runs compare equal on both ends of the wire.
-    payload["harness_kwargs"] = [list(item) for item in run.harness_kwargs]
-    return payload
-
-
 def run_param_dict(run) -> Dict[str, Any]:
     """The simulation-determining parameters of a run, as plain data.
 
@@ -148,35 +136,6 @@ def run_param_dict(run) -> Dict[str, Any]:
         "outstanding": run.outstanding,
         "reorder_depth": run.reorder_depth,
     }
-
-
-def run_from_dict(data: Dict[str, Any]):
-    from .spec import RunSpec
-
-    payload = dict(data)
-    payload["harness_kwargs"] = tuple(
-        (key, value) for key, value in payload.get("harness_kwargs", ())
-    )
-    return RunSpec(**payload)
-
-
-def shard_to_dict(shard) -> Dict[str, Any]:
-    """Canonical, JSON-ready dict of a :class:`~.spec.Shard`."""
-    return {
-        "index": shard.index,
-        "count": shard.count,
-        "runs": [run_to_dict(run) for run in shard.runs],
-    }
-
-
-def shard_from_dict(data: Dict[str, Any]):
-    from .spec import Shard
-
-    return Shard(
-        index=data["index"],
-        count=data["count"],
-        runs=tuple(run_from_dict(run) for run in data["runs"]),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -86,8 +86,9 @@ def harness_key(
 class HarnessSlot(threading.local):
     """One reusable bench per thread (see the module docstring).
 
-    Thread-local because a process may host several pull workers on
-    threads; each campaign thread gets its own slot.
+    Thread-local because a process may run campaigns on several
+    threads; each campaign thread gets its own slot, so one thread's
+    lease never resets a bench another thread is running.
     """
 
     key: Optional[Tuple] = None

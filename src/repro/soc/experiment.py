@@ -350,7 +350,6 @@ def run_fig11(
     workers: Optional[int] = None,
     shard_size: int = 1,
     progress=None,
-    executor=None,
     seeds=(0,),
     batch_lanes: Optional[int] = None,
     batch_verify: bool = False,
@@ -364,17 +363,14 @@ def run_fig11(
 
     The sweep runs through the orchestration engine
     (:mod:`repro.orchestrate`): *workers* > 1 shards the runs across a
-    process pool (each worker builds its own :class:`CheshireSoC`; an
-    explicit *executor* — e.g. a
-    :class:`~repro.orchestrate.distributed.DistributedExecutor` serving
-    remote workers — overrides the choice), *batch_lanes* routes the
-    sweep through the lockstep batch executor
+    process pool (each worker builds its own :class:`CheshireSoC`),
+    *batch_lanes* routes the sweep through the lockstep batch executor
     (:class:`~repro.orchestrate.batch.BatchExecutor`; *batch_verify*
     replays every derived lane on the scalar verify kernel), *store* (a
     :class:`~repro.orchestrate.store.ResultStore` or a path) adds
     run-granular reuse — a wider seed sweep simulates only the frontier,
-    and a re-run resumes a killed one — and the aggregated series are identical to the serial ones
-    whatever the executor.
+    and a re-run resumes a killed one — and the aggregated series are
+    identical to the serial ones whatever the executor.
 
     *seeds* sweeps each (variant, stage) point over start-delay phase
     offsets; each variant's series is stage-major, then seed (length
@@ -398,7 +394,6 @@ def run_fig11(
         workers=workers,
         shard_size=shard_size,
         progress=progress,
-        executor=executor,
         batch_lanes=batch_lanes,
         batch_verify=batch_verify,
         metrics=metrics,

@@ -12,15 +12,16 @@ Design constraints, in order:
 * **Measurement-only.**  Nothing reads a metric to make a decision;
   a campaign run with ``metrics=None`` is byte-identical to one with a
   registry attached (asserted by the integration tests).
-* **Mergeable.**  Shards execute in many places — worker processes,
-  remote machines, batch packs — so registries must combine:
+* **Mergeable.**  Shards execute in many places — pool worker
+  processes, batch packs — so registries must combine:
   counters and histograms add, gauges are last-write-wins.  The
   hypothesis property test holds ``merge`` to "splitting a stream of
   observations across registries and merging equals observing the
   stream in one registry".
-* **Thread-tolerant.**  The distributed coordinator increments from
-  its per-worker serving threads; one registry-wide lock covers every
-  mutation (all of them shard-granular, so contention is irrelevant).
+* **Thread-tolerant.**  A registry may be shared by campaigns running
+  on several threads of one process (the harness slot is per-thread
+  for the same reason); one registry-wide lock covers every mutation
+  (all of them shard-granular, so contention is irrelevant).
 * **Plain JSON.**  ``to_dict``/``from_dict`` round-trip exactly; no
   dependencies beyond the standard library.
 """
@@ -37,7 +38,7 @@ TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
 
 #: Default histogram bucket upper bounds (seconds): sub-millisecond
-#: derived lanes through multi-minute distributed shards.
+#: derived lanes through multi-minute shards.
 DEFAULT_SECONDS_BOUNDS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0
 )
@@ -51,7 +52,7 @@ DEFAULT_LOOKUP_BOUNDS: Tuple[float, ...] = (
 
 
 class Counter:
-    """Monotonic count of events (hits, retirements, reassignments)."""
+    """Monotonic count of events (hits, retirements, promotions)."""
 
     __slots__ = ("value", "_lock")
 
@@ -67,7 +68,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-observed value (connected workers, queue depth)."""
+    """Last-observed value (elapsed seconds, queue depth)."""
 
     __slots__ = ("value", "_lock")
 
@@ -85,7 +86,7 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution (shard latency, heartbeat intervals).
+    """Bucketed distribution (shard latency, store lookup time).
 
     *bounds* are inclusive upper bounds of the finite buckets; one
     overflow bucket catches everything beyond the last bound, so

@@ -479,7 +479,7 @@ def test_tracer_kwarg_keys_by_identity():
 
 
 def test_threads_each_lease_their_own_slot():
-    """Pull workers may share a process as threads: each needs its own
+    """Campaigns may share a process as threads: each needs its own
     slot, or one thread's lease would reset another's running harness."""
     config = TmuConfig()
     runs = [(stage, seed) for stage in InjectionStage for seed in (0, 3)]

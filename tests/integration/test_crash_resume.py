@@ -1,17 +1,18 @@
-"""Crash/resume integration: kill the coordinator, resume from the store.
+"""Crash/resume integration: SIGKILL a campaign, resume from the store.
 
-The distributed executor's crash-safety story is the result store:
-every run is committed as its shard streams in, so a SIGKILLed
-coordinator — the worst case, nothing gets to clean up — is resumed by
-re-running the campaign against the same store, and the final campaign
-JSON must be byte-identical to an uninterrupted serial run.  (The
-worker-kill half of the story lives in
-``tests/orchestrate/test_distributed.py``.)
+Crash safety is the result store's job: every run is committed as its
+shard completes, so a SIGKILLed campaign — the worst case, nothing gets
+to clean up — is resumed by re-running it against the same store, and
+the final campaign JSON must be byte-identical to an uninterrupted
+serial run.  Both single-machine executors are covered: the serial loop
+and a two-process pool.
 
-The scenario is gated, not timed: a protocol-level worker executes
-exactly three shards, then signals and sits on its fourth lease, so the
-coordinator is provably mid-campaign — some runs stored, some not —
-when the SIGKILL lands.
+The scenario is gated on runs, not on time: in a forked child, a
+wrapped ``execute_run`` lets exactly ``RUNS_BEFORE_FREEZE`` runs
+through, then signals and sleeps, so the campaign is provably
+mid-flight — some runs stored, some not — when the SIGKILL lands.  The
+child leads its own process group, so one ``killpg`` also takes down
+its pool workers.
 """
 
 import multiprocessing
@@ -28,24 +29,16 @@ from repro.analysis.export import campaign_dict, to_json
 from repro.faults.types import InjectionStage
 from repro.orchestrate import (
     CampaignSpec,
-    DistributedExecutor,
     SerialExecutor,
-    plan_shards,
     run_campaign_spec,
 )
-from repro.orchestrate.executor import execute_shard
+from repro.orchestrate import executor as executor_module
+from repro.orchestrate.executor import START_METHOD_ENV, execute_shard
 from repro.orchestrate.store import DB_NAME
-from repro.orchestrate.remote import (
-    expect,
-    hello_message,
-    recv_frame,
-    result_message,
-    send_frame,
-)
 from repro.tmu.config import full_config, tiny_config
 
-#: Shards the gated worker completes before it freezes on its next lease.
-SHARDS_BEFORE_FREEZE = 3
+#: Runs the gated campaign completes before every further run freezes.
+RUNS_BEFORE_FREEZE = 4
 
 
 def crash_spec() -> CampaignSpec:
@@ -61,53 +54,39 @@ def crash_spec() -> CampaignSpec:
     )
 
 
-def _coordinator_victim(store_dir: str, port_file: str) -> None:
-    """Child-process coordinator: bind, announce the port, serve shards."""
-    executor = DistributedExecutor(port=0, lease_timeout=600, result_timeout=120)
-    _host, port = executor.bind()
-    tmp = port_file + ".tmp"
-    with open(tmp, "w") as stream:
-        stream.write(str(port))
-    os.replace(tmp, port_file)  # atomic: the parent never reads half a port
-    run_campaign_spec(crash_spec(), store=store_dir, executor=executor)
+def _campaign_victim(store_dir: str, workers: int, tickets, frozen) -> None:
+    """Forked child: run the campaign with every run past the gate frozen.
+
+    *tickets* (a shared counter) is inherited by the pool workers the
+    child forks, so the gate counts runs across processes.
+    """
+    os.setpgid(0, 0)
+    os.environ[START_METHOD_ENV] = "fork"  # pool workers inherit the gate
+    real = executor_module.execute_run
+
+    def gated(run, trace=None):
+        with tickets.get_lock():
+            ticket = tickets.value
+            tickets.value += 1
+        if ticket >= RUNS_BEFORE_FREEZE:
+            frozen.set()
+            time.sleep(600)  # hold the run until SIGKILLed
+        return real(run, trace)
+
+    executor_module.execute_run = gated
+    run_campaign_spec(crash_spec(), store=store_dir, workers=workers)
 
 
-def _gated_worker(port: int, frozen) -> None:
-    """Execute SHARDS_BEFORE_FREEZE shards for real, then hold a lease."""
-    import socket as socket_module
-
-    sock = socket_module.create_connection(("127.0.0.1", port))
-    from repro.orchestrate.serialize import shard_from_dict
-
-    try:
-        send_frame(sock, hello_message("gated"))
-        expect(recv_frame(sock), "welcome")
-        executed = 0
-        while True:
-            message = recv_frame(sock)
-            if message is None or message["type"] == "done":
-                break
-            shard = shard_from_dict(message["shard"])
-            if executed >= SHARDS_BEFORE_FREEZE:
-                frozen.set()
-                time.sleep(600)  # hold the lease until SIGKILLed
-            index, results = execute_shard(shard)
-            send_frame(sock, result_message(index, shard.run_ids, results))
-            executed += 1
-    finally:
-        sock.close()
-
-
-def _stored_rows(store_dir) -> int:
+def _stored_run_ids(store_dir) -> set:
     """Committed store rows, read without joining the victim's writes."""
     db = store_dir / DB_NAME
     if not db.exists():
-        return 0
+        return set()
     conn = sqlite3.connect(f"file:{db}?mode=ro", uri=True, timeout=30)
     try:
-        return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+        return {row[0] for row in conn.execute("SELECT run_id FROM results")}
     except sqlite3.OperationalError:
-        return 0  # schema not created yet
+        return set()  # schema not created yet
     finally:
         conn.close()
 
@@ -120,61 +99,56 @@ def _wait_for(predicate, timeout: float, message: str) -> None:
         time.sleep(0.05)
 
 
-def test_sigkilled_coordinator_resumes_byte_identical(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
+def test_sigkilled_campaign_resumes_byte_identical(tmp_path, workers):
     spec = crash_spec()
-    shards = plan_shards(spec.runs())
-    assert len(shards) > SHARDS_BEFORE_FREEZE + 1
+    runs = spec.runs()
+    assert len(runs) > RUNS_BEFORE_FREEZE + workers
     serial_json = to_json(campaign_dict(run_campaign_spec(spec), spec=spec))
 
     store_dir = tmp_path / "store"
-    port_file = str(tmp_path / "port")
     context = multiprocessing.get_context("fork")
+    tickets = context.Value("i", 0)
     frozen = context.Event()
-
     victim = context.Process(
-        target=_coordinator_victim, args=(str(store_dir), port_file), daemon=True
+        target=_campaign_victim,
+        args=(str(store_dir), workers, tickets, frozen),
     )
     victim.start()
-    _wait_for(
-        lambda: os.path.exists(port_file), 30, "coordinator never announced a port"
-    )
-    with open(port_file) as stream:
-        port = int(stream.read())
-
-    worker = context.Process(target=_gated_worker, args=(port, frozen), daemon=True)
-    worker.start()
-    assert frozen.wait(timeout=60), "worker never reached its freeze point"
-
-    # The coordinator must have committed exactly the completed runs
-    # before we murder it mid-campaign.
-    _wait_for(
-        lambda: _stored_rows(store_dir) >= SHARDS_BEFORE_FREEZE,
-        30,
-        "completed runs never reached the store",
-    )
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
+    try:
+        assert frozen.wait(timeout=60), "campaign never reached its freeze point"
+        # The gated runs must be committed before we kill the campaign
+        # mid-flight.
+        _wait_for(
+            lambda: len(_stored_run_ids(store_dir)) >= RUNS_BEFORE_FREEZE,
+            30,
+            "completed runs never reached the store",
+        )
+    finally:
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:  # died before leading its group
+            victim.kill()
+        victim.join(timeout=10)
     assert victim.exitcode == -signal.SIGKILL
-    os.kill(worker.pid, signal.SIGKILL)
-    worker.join(timeout=10)
 
-    stored_before_resume = _stored_rows(store_dir)
-    assert SHARDS_BEFORE_FREEZE <= stored_before_resume < len(shards)
+    stored = _stored_run_ids(store_dir)
+    assert len(stored) == RUNS_BEFORE_FREEZE
+    missing = [run.run_id for run in runs if run.run_id not in stored]
 
     # Resume: same spec, same store, plain serial executor.  One run per
-    # shard, so the executed shard count is the executed run count.
+    # shard, so the executed shards name the executed runs.
     executed = []
-    original = execute_shard
 
     class Counting(SerialExecutor):
         def map(self, pending):
             for shard in pending:
                 executed.extend(shard.run_ids)
-                yield original(shard)
+                yield execute_shard(shard)
 
     resumed = run_campaign_spec(spec, store=store_dir, executor=Counting())
     assert to_json(campaign_dict(resumed, spec=spec)) == serial_json
-    assert len(executed) == len(shards) - stored_before_resume
+    assert executed == missing
 
     # And a damaged row is a miss, not a crash: truncate one stored
     # payload, resume again, and exactly that run re-simulates while the

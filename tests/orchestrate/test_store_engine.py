@@ -15,8 +15,15 @@ from tests.conftest import fast_budgets
 from repro.analysis.export import campaign_dict, to_json, write_campaign_json
 from repro.faults.campaign import run_campaign
 from repro.faults.types import InjectionStage
-from repro.orchestrate import CampaignSpec, ResultStore, run_campaign_spec
+from repro.orchestrate import (
+    CampaignSpec,
+    ResultStore,
+    SerialExecutor,
+    plan_shards,
+    run_campaign_spec,
+)
 from repro.orchestrate import executor as executor_module
+from repro.orchestrate.executor import execute_shard
 from repro.soc.experiment import FIG11_STAGES, run_fig11
 from repro.telemetry import MetricsRegistry
 from repro.tmu.config import Variant, full_config, tiny_config
@@ -150,3 +157,46 @@ def test_collect_false_requires_store():
     spec = CampaignSpec.ip(fig9_configs(), FIG9_SUBSET[:1], beats=4)
     with pytest.raises(ValueError, match="store"):
         run_campaign_spec(spec, collect=False)
+
+
+def ip_spec(seeds=(0,)):
+    return CampaignSpec.ip(
+        [full_config(budgets=fast_budgets()), tiny_config(budgets=fast_budgets())],
+        (
+            InjectionStage.AW_READY_MISSING,
+            InjectionStage.WLAST_TO_BVALID,
+            InjectionStage.R_VALID_MISSING,
+        ),
+        beats=4,
+        seeds=seeds,
+    )
+
+
+def campaign_json(spec, results):
+    return to_json(campaign_dict(results, spec=spec))
+
+
+def test_partial_cache_resume_only_runs_missing_shards(tmp_path):
+    """Crash-shaped store state: some runs present, the rest missing."""
+    spec = ip_spec(seeds=(0, 1))
+    serial_json = campaign_json(spec, run_campaign_spec(spec))
+    runs = spec.runs()
+
+    # Simulate a campaign killed after three runs: only they are stored.
+    with ResultStore.open(tmp_path) as store:
+        for shard in plan_shards(runs[:3]):
+            for run, result in zip(shard.runs, execute_shard(shard)[1]):
+                store.put(run, result)
+
+    executed = []
+    original = execute_shard
+
+    class Counting(SerialExecutor):
+        def map(self, pending):
+            for shard in pending:
+                executed.extend(shard.run_ids)
+                yield original(shard)
+
+    resumed = run_campaign_spec(spec, store=tmp_path, executor=Counting())
+    assert campaign_json(spec, resumed) == serial_json
+    assert executed == [run.run_id for run in runs[3:]]

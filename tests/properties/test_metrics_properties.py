@@ -1,8 +1,8 @@
 """Hypothesis properties for the metrics registry merge.
 
-Shards execute in many places (worker processes, remote machines,
-batch packs), each tallying into its own registry; the coordinator
-folds them together.  The merge contract that makes that distribution
+Shards execute in many places (pool worker processes, batch packs),
+each of which may tally into its own registry; a caller folds them
+together.  The merge contract that makes that distribution
 invisible: **splitting a stream of observations across registries and
 merging equals observing the whole stream in one registry** — for
 counters and histograms exactly, and for gauges under last-write-wins

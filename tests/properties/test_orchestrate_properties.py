@@ -1,17 +1,17 @@
 """Hypothesis properties for the orchestration contract.
 
-The distributed executor's safety argument leans on three invariants,
-so they get property coverage rather than examples:
+Executor choice, resume and store reuse lean on three invariants, so
+they get property coverage rather than examples:
 
 * shard planning is a **disjoint, complete partition** of the canonical
-  run list, with stable run IDs — what makes at-least-once execution
-  and cache-first dispatch safe;
-* the **spec hash** is invariant to dict key order (two machines
-  building "the same" campaign agree on the cache namespace) and
+  run list, with stable run IDs — what makes store-first dispatch and
+  resuming a killed campaign safe;
+* the **spec hash** is invariant to dict key order (two processes
+  building "the same" campaign agree on the store namespace) and
   sensitive to every parameter (no stale aliasing);
 * **aggregation is index-ordered** no matter what order shard results
-  arrive in — what makes worker count, scheduling jitter and lease
-  reassignment invisible in the output.
+  arrive in — what makes worker count and pool scheduling jitter
+  invisible in the output.
 """
 
 from hypothesis import given, settings
